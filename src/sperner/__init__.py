@@ -19,7 +19,7 @@ from .graphs import (Graph, GraphError, LabeledBigraph, LabeledSplitGraph,
                      find_bipartition, find_induced, find_split_partition,
                      independent_set_hypergraph, neighborhood_hypergraph,
                      pattern, vertex_clique_split_of, vertex_cover_hypergraph)
-from .threshold import (AsummabilityWitness, ThresholdWitness,
+from .threshold import (AsummabilityWitness, ThresholdError, ThresholdWitness,
                         is_independent_set, is_k_asummable,
                         is_threshold_hypergraph, k_asummability_witness,
                         threshold_witness)

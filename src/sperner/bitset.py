@@ -7,7 +7,7 @@ deterministic.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Optional, Sequence
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -29,16 +29,6 @@ def popcount(mask: int) -> int:
     return bin(mask).count("1")
 
 
-def submasks(mask: int) -> Iterator[int]:
-    """Yield all submasks of ``mask``, descending, ending with 0."""
-    s = mask
-    while True:
-        yield s
-        if s == 0:
-            return
-        s = (s - 1) & mask
-
-
 def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Inclusion-minimal members of a family of masks (deduplicated, sorted)."""
     pool = sorted(set(masks), key=lambda m: (popcount(m), m))
@@ -49,14 +39,18 @@ def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(sorted(keep))
 
 
+def containment_pair(masks: Sequence[int]) -> Optional[tuple[int, int]]:
+    """Positions (i, j), i < j, of the first two masks one of which contains
+    the other (equal masks included), or None for an antichain."""
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks[i + 1:], i + 1):
+            if a & b in (a, b):
+                return i, j
+    return None
+
+
 def is_antichain(masks: Iterable[int]) -> bool:
-    ms = list(masks)
-    for i, a in enumerate(ms):
-        for b in ms[i + 1 :]:
-            inter = a & b
-            if inter == a or inter == b:
-                return False
-    return True
+    return containment_pair(list(masks)) is None
 
 
 def maximal_cliques(adj: list[int], n: int) -> list[int]:

@@ -2,7 +2,8 @@
 
 Subcommands: hyp-check, decompose, cwd, eval, dominate, generate, sweep.
 Exit codes: 0 = success / all predicates hold / no disagreement, 1 = some
-predicate is false or a disagreement was found, 2 = usage or parse error.
+predicate is false or a disagreement was found, 2 = usage or parse error,
+an input outside the requested class, a size cap, or a failed self-check.
 Every randomized command embeds its seed in the output.
 """
 
@@ -14,24 +15,19 @@ import random
 import sys
 
 from . import textio
-from .cliquewidth import (ExpressionError, build_bigraph_2p3_free,
-                          build_cobigraph, build_split_h_free,
-                          build_split_hbar_free, evaluate, format_expression,
+from .cliquewidth import (ExpressionError, built, evaluate, format_expression,
                           parse_expression)
-from .decomposition import (DecompositionError, clique_sperner_partition,
-                            decompose_bigraph_2p3_free, decompose_cobigraph,
-                            decompose_split_h_free, decompose_split_hbar_free,
-                            find_right_sperner_bipartition,
-                            independent_sperner_partition, tree_to_text)
+from .decomposition import GRAPH_CLASSES, DecompositionError, tree_to_text
 from .domination import DominationError, brute_force, solve_h_free_split
 from .generators import (random_bigraph_2p3_free, random_one_sperner,
                          random_split_h_free)
 from .graphs import GraphError, find_induced, find_split_partition, pattern
-from .hypergraph import (Hypergraph, HypergraphError, decompose, is_conformal,
-                         is_dually_sperner, is_one_sperner, is_sperner,
-                         recompose)
+from .hypergraph import (HLeaf, Hypergraph, HypergraphError, decompose,
+                         is_conformal, is_dually_sperner, is_one_sperner,
+                         is_sperner, recompose)
 from .sweeps import SUITES
-from .threshold import k_asummability_witness, threshold_witness
+from .threshold import (ThresholdError, k_asummability_witness,
+                        threshold_witness)
 
 
 def _load(path: str) -> str:
@@ -77,36 +73,16 @@ def cmd_decompose(args) -> int:
     if args.kind == "hypergraph":
         h = textio.read_hypergraph(_load(args.path))
         tree = decompose(h)
-        assert recompose(tree) == h
+        if recompose(tree) != h:
+            raise HypergraphError("the decomposition tree does not recompose to the input")
         print(_hyper_tree_text(tree))
         return 0
     g = textio.read_graph(_load(args.path))
-    tree = _graph_decomposition(args.kind, g)
-    sys.stdout.write(tree_to_text(tree))
+    sys.stdout.write(tree_to_text(GRAPH_CLASSES[args.kind](g)))
     return 0
 
 
-def _graph_decomposition(kind: str, g):
-    if kind == "split-H":
-        ls = clique_sperner_partition(g)
-        if ls is None:
-            raise DecompositionError("no clique-Sperner split partition exists")
-        return decompose_split_h_free(ls)
-    if kind == "split-Hbar":
-        ls = independent_sperner_partition(g)
-        if ls is None:
-            raise DecompositionError("no independent-Sperner split partition exists")
-        return decompose_split_hbar_free(ls)
-    if kind == "bigraph":
-        lb = find_right_sperner_bipartition(g)
-        if lb is None:
-            raise DecompositionError("no right-Sperner bipartition exists")
-        return decompose_bigraph_2p3_free(lb)
-    return decompose_cobigraph(g)
-
-
 def _hyper_tree_text(tree, indent: int = 0) -> str:
-    from .hypergraph import HLeaf
     pad = "  " * indent
     if isinstance(tree, HLeaf):
         edges = "{}" if not tree.base.edge_masks else "{{}}"
@@ -118,24 +94,9 @@ def _hyper_tree_text(tree, indent: int = 0) -> str:
 
 def cmd_cwd(args) -> int:
     g = textio.read_graph(_load(args.path))
-    if args.kind == "split-H":
-        ls = clique_sperner_partition(g)
-        if ls is None:
-            raise DecompositionError("no clique-Sperner split partition exists")
-        expr = build_split_h_free(ls)
-    elif args.kind == "split-Hbar":
-        ls = independent_sperner_partition(g)
-        if ls is None:
-            raise DecompositionError("no independent-Sperner split partition exists")
-        expr = build_split_hbar_free(ls)
-    elif args.kind == "bigraph":
-        lb = find_right_sperner_bipartition(g)
-        if lb is None:
-            raise DecompositionError("no right-Sperner bipartition exists")
-        expr = build_bigraph_2p3_free(lb)
-    else:
-        expr = build_cobigraph(g)
-    assert evaluate(expr, k=5).to_graph() == g
+    expr = built(GRAPH_CLASSES[args.kind](g))
+    if evaluate(expr, k=5).to_graph() != g:
+        raise ExpressionError("the 5-expression does not evaluate to the input graph")
     print(format_expression(expr))
     return 0
 
@@ -181,7 +142,8 @@ def cmd_generate(args) -> int:
     print(f"# kind={args.kind} size={args.size} seed={args.seed}")
     if args.kind == "glue-tree":
         h = random_one_sperner(args.size, rng) if args.size else Hypergraph([], [])
-        assert is_one_sperner(h)
+        if not is_one_sperner(h):
+            raise HypergraphError("the generator produced a hypergraph that is not 1-Sperner")
         sys.stdout.write(textio.write_hypergraph(h))
     elif args.kind == "in-class-split":
         ls = random_split_h_free(max(1, args.size), rng)
@@ -234,15 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="print a decomposition tree")
     p.add_argument("path")
-    p.add_argument("--kind", choices=("hypergraph", "split-H", "split-Hbar",
-                                      "bigraph", "cobigraph"),
+    p.add_argument("--kind", choices=("hypergraph", *GRAPH_CLASSES),
                    default="hypergraph")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("cwd", help="print a 5-expression for an in-class graph")
     p.add_argument("path")
-    p.add_argument("--kind", choices=("split-H", "split-Hbar", "bigraph",
-                                      "cobigraph"), default="split-H")
+    p.add_argument("--kind", choices=tuple(GRAPH_CLASSES), default="split-H")
     p.set_defaults(func=cmd_cwd)
 
     p = sub.add_parser("eval", help="evaluate a k-expression file to a graph")
@@ -277,14 +237,9 @@ def main(argv=None) -> int:
         return 2 if exc.code else 0
     try:
         return args.func(args)
-    except (textio.ParseError, ExpressionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (HypergraphError, GraphError, DecompositionError,
-            DominationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (textio.ParseError, ExpressionError, HypergraphError, GraphError,
+            DecompositionError, DominationError, ThresholdError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

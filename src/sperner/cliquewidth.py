@@ -25,7 +25,8 @@ from typing import Optional, Union
 
 from .decomposition import (DecompLeaf, GraphDecompositionTree,
                             decompose_bigraph_2p3_free, decompose_cobigraph,
-                            decompose_split_h_free, decompose_split_hbar_free)
+                            decompose_split_h_free, decompose_split_hbar_free,
+                            m_matrix)
 from .graphs import Graph, LabeledBigraph, LabeledSplitGraph
 
 
@@ -324,7 +325,6 @@ _RIGHT_RELABELS = ((1, 3), (2, 3), (4, 5))
 
 def _cross_add_edges(a: int, b: int) -> list[tuple[int, int]]:
     """1-entries of M[a,b] strictly above the diagonal, outermost first."""
-    from .decomposition import m_matrix
     mat = m_matrix(a, b)
     pairs = [(i + 1, j + 1) for i in range(5) for j in range(i + 1, 5)
              if mat[i][j] == 1]
@@ -359,7 +359,8 @@ def build_from_tree(tree: GraphDecompositionTree) -> Optional[KExpression]:
     return acc
 
 
-def _built(tree: GraphDecompositionTree) -> KExpression:
+def built(tree: GraphDecompositionTree) -> KExpression:
+    """5-expression of a nonempty decomposition tree (``build_from_tree``)."""
     e = build_from_tree(tree)
     if e is None:
         raise ExpressionError("empty graph has no expression")
@@ -369,16 +370,16 @@ def _built(tree: GraphDecompositionTree) -> KExpression:
 def build_split_h_free(ls: LabeledSplitGraph) -> KExpression:
     """5-expression of an H-free clique-Sperner split graph; independent-side
     labels end in {1,2,3} and clique-side labels in {4,5}."""
-    return _built(decompose_split_h_free(ls))
+    return built(decompose_split_h_free(ls))
 
 
 def build_split_hbar_free(ls: LabeledSplitGraph) -> KExpression:
-    return _built(decompose_split_hbar_free(ls))
+    return built(decompose_split_hbar_free(ls))
 
 
 def build_bigraph_2p3_free(lb: LabeledBigraph) -> KExpression:
-    return _built(decompose_bigraph_2p3_free(lb))
+    return built(decompose_bigraph_2p3_free(lb))
 
 
 def build_cobigraph(g: Graph) -> KExpression:
-    return _built(decompose_cobigraph(g))
+    return built(decompose_cobigraph(g))

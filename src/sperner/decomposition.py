@@ -28,6 +28,10 @@ qualifies, the error reports which class precondition failed.
 The co-H and cobigraph cases are handled by complementing, delegating to
 the H / bigraph case, and mapping the tree back (which swaps the two
 children and the part pairs).
+
+``GRAPH_CLASSES`` is the one place that maps a class name (the CLI's
+``--kind``) to its decomposer of unlabeled graphs: the class's partition
+search followed by its ``decompose_*`` function.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .bitset import bits, mask_of, popcount
+from .bitset import bits, containment_pair, mask_of, popcount
 from .graphs import (Graph, GraphError, LabeledBigraph, LabeledSplitGraph,
                      find_bipartition, find_induced, find_split_partition,
                      pattern)
@@ -56,27 +60,25 @@ class DecompositionError(ValueError):
 
 def is_right_sperner(lb: LabeledBigraph) -> bool:
     """No neighborhood containment among distinct B-side vertices."""
-    return _no_containment(lb.g, sorted(lb.B), restrict=None)
+    return _containment_witness(lb.g, lb.B) is None
 
 
 def is_clique_sperner(ls: LabeledSplitGraph) -> bool:
     """No containment among N(u) cap I over distinct clique vertices u."""
-    return _no_containment(ls.g, sorted(ls.K), restrict=mask_of(ls.I))
+    return _containment_witness(ls.g, ls.K, mask_of(ls.I)) is None
 
 
 def is_independent_sperner(ls: LabeledSplitGraph) -> bool:
     """No neighborhood containment among distinct independent-side vertices."""
-    return _no_containment(ls.g, sorted(ls.I), restrict=None)
+    return _containment_witness(ls.g, ls.I) is None
 
 
-def _no_containment(g: Graph, side: list[int], restrict: Optional[int]) -> bool:
-    hoods = [g.adj[v] if restrict is None else g.adj[v] & restrict for v in side]
-    for i, a in enumerate(hoods):
-        for b in hoods[i + 1:]:
-            inter = a & b
-            if inter == a or inter == b:
-                return False
-    return True
+def _containment_witness(g: Graph, side, restrict: int = -1):
+    """Two side vertices (ascending) whose neighborhoods, restricted to
+    ``restrict``, are nested; None when there are none."""
+    vs = sorted(side)
+    pair = containment_pair([g.adj[v] & restrict for v in vs])
+    return None if pair is None else (vs[pair[0]], vs[pair[1]])
 
 
 def _middle_pair_witness(g: Graph, side, restrict: int):
@@ -298,9 +300,9 @@ def decompose_split_h_free(ls: LabeledSplitGraph) -> GraphDecompositionTree:
     remaining clique vertices, part1 the independent vertices at distance
     two from z (which must be completely joined to part4), part2 the rest.
     """
-    if not is_clique_sperner(ls):
-        raise DecompositionError("labeled split graph is not clique-Sperner",
-                                 _containment_witness(ls.g, sorted(ls.K), mask_of(ls.I)))
+    w = _containment_witness(ls.g, ls.K, mask_of(ls.I))
+    if w is not None:
+        raise DecompositionError("labeled split graph is not clique-Sperner", w)
     w = find_induced(ls.g, pattern("H"))
     if w is not None:
         raise DecompositionError("graph contains an induced H", w)
@@ -316,9 +318,9 @@ def decompose_split_hbar_free(ls: LabeledSplitGraph) -> GraphDecompositionTree:
     split graph with the sides exchanged), and map the tree back; the part
     pairs and the two children swap.
     """
-    if not is_independent_sperner(ls):
-        raise DecompositionError("labeled split graph is not independent-Sperner",
-                                 _containment_witness(ls.g, sorted(ls.I), None))
+    w = _containment_witness(ls.g, ls.I)
+    if w is not None:
+        raise DecompositionError("labeled split graph is not independent-Sperner", w)
     w = find_induced(ls.g, pattern("co-H"))
     if w is not None:
         raise DecompositionError("graph contains an induced co-H", w)
@@ -330,9 +332,9 @@ def decompose_split_hbar_free(ls: LabeledSplitGraph) -> GraphDecompositionTree:
 
 def decompose_bigraph_2p3_free(lb: LabeledBigraph) -> GraphDecompositionTree:
     """M[0,0]-partition tree of a 2P3-free right-Sperner labeled bigraph."""
-    if not is_right_sperner(lb):
-        raise DecompositionError("labeled bigraph is not right-Sperner",
-                                 _containment_witness(lb.g, sorted(lb.B), None))
+    w = _containment_witness(lb.g, lb.B)
+    if w is not None:
+        raise DecompositionError("labeled bigraph is not right-Sperner", w)
     w = find_induced(lb.g, pattern("2P3"))
     if w is not None:
         raise DecompositionError("graph contains an induced 2P3", w)
@@ -355,16 +357,6 @@ def decompose_cobigraph(g: Graph) -> GraphDecompositionTree:
     tree = _decompose_core(comp, mask_of(lb.A), mask_of(lb.B), 0, 0,
                            "co-2P3-free right-Sperner-complement cobigraph")
     return _transform_complement_tree(tree, 1, 1)
-
-
-def _containment_witness(g: Graph, side: list[int], restrict: Optional[int]):
-    for i, u in enumerate(side):
-        for v in side[i + 1:]:
-            nu = g.adj[u] if restrict is None else g.adj[u] & restrict
-            nv = g.adj[v] if restrict is None else g.adj[v] & restrict
-            if nu & nv in (nu, nv):
-                return (u, v)
-    return None
 
 
 def _transform_complement_tree(tree: GraphDecompositionTree, a: int, b: int
@@ -435,7 +427,8 @@ def find_right_sperner_bipartition(g: Graph) -> Optional[LabeledBigraph]:
     2P3-free bigraph) is tried in both orientations. Raises
     DecompositionError when more than one large component exists.
     """
-    if find_bipartition(g) is None:
+    bipartition = find_bipartition(g)
+    if bipartition is None:
         return None
     comps = g.components()
     amask = 0
@@ -454,11 +447,10 @@ def find_right_sperner_bipartition(g: Graph) -> Optional[LabeledBigraph]:
     if len(large) > 1:
         raise DecompositionError(
             "more than one component with over two vertices (contains 2P3)")
-    orientations = []
     if large:
+        # side A of find_bipartition holds the lowest vertex of each component
         comp = large[0]
-        root = next(bits(comp))
-        side0 = _bfs_side(g, root)
+        side0 = comp & mask_of(bipartition[0])
         orientations = [(amask | side0, bmask | (comp ^ side0)),
                         (amask | (comp ^ side0), bmask | side0)]
     else:
@@ -470,15 +462,25 @@ def find_right_sperner_bipartition(g: Graph) -> Optional[LabeledBigraph]:
     return None
 
 
-def _bfs_side(g: Graph, root: int) -> int:
-    side = 1 << root
-    seen = 1 << root
-    queue = [(root, 0)]
-    while queue:
-        u, c = queue.pop(0)
-        for v in bits(g.adj[u] & ~seen):
-            seen |= 1 << v
-            if c == 1:
-                side |= 1 << v
-            queue.append((v, 1 - c))
-    return side
+# ---------------------------------------------------------------------------
+# The class registry
+# ---------------------------------------------------------------------------
+
+def _found(labeled, what: str):
+    if labeled is None:
+        raise DecompositionError(f"no {what} exists")
+    return labeled
+
+
+# Class name -> decomposition of an unlabeled graph of that class. The
+# lambdas look the functions up at call time, so a module attribute
+# rebound later (for instance by a profiler's wrapper) takes effect.
+GRAPH_CLASSES = {
+    "split-H": lambda g: decompose_split_h_free(
+        _found(clique_sperner_partition(g), "clique-Sperner split partition")),
+    "split-Hbar": lambda g: decompose_split_hbar_free(
+        _found(independent_sperner_partition(g), "independent-Sperner split partition")),
+    "bigraph": lambda g: decompose_bigraph_2p3_free(
+        _found(find_right_sperner_bipartition(g), "right-Sperner bipartition")),
+    "cobigraph": lambda g: decompose_cobigraph(g),
+}

@@ -92,7 +92,7 @@ def brute_force(g: Graph, variant: str, cap: int = 20) -> DominationResult:
         for comb in itertools.combinations(range(g.n), size):
             if is_dominating(g, comb, variant):
                 return DominationResult(variant, size, frozenset(comb))
-    raise AssertionError("feasible variant found no dominating set")
+    raise DominationError("feasible variant found no dominating set")
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +118,9 @@ def dp_dominating_set(e: KExpression) -> DominationResult:
             cand = (size, wit)
             if best is None or cand < best:
                 best = cand
-    assert best is not None, "dominating set DP found no complete state"
-    witness = frozenset(best[1])
-    assert _value_dominated_by(value, witness), "DP witness fails verification"
-    return DominationResult("dominating", best[0], witness)
+    if best is None or not _value_dominated_by(value, best[1]):
+        raise DominationError("dominating set DP found no verified witness")
+    return DominationResult("dominating", best[0], frozenset(best[1]))
 
 
 def _value_dominated_by(value, witness) -> bool:
@@ -191,22 +190,19 @@ def _dp(e: KExpression, k: int, full: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def _kside_minimum_dominating(g: Graph, K: frozenset, I: frozenset,
-                              gamma_solver: Callable[[Graph], DominationResult]
-                              ) -> frozenset:
-    """A minimum dominating set inside K of a connected split graph.
+                              res: DominationResult) -> frozenset:
+    """Move a minimum dominating set ``res`` of a connected split graph
+    inside K.
 
-    Any minimum dominating set works: each independent-side member is
-    swapped for one of its clique-side neighbors, which preserves
-    domination because K is a clique.
+    Each independent-side member is swapped for one of its clique-side
+    neighbors, which preserves domination because K is a clique.
     """
-    res = gamma_solver(g)
     witness = set(res.witness)
     for v in sorted(witness):
         if v in I:
             repl = min(u for u in bits(g.adj[v]) if u in K)
             witness.discard(v)
             witness.add(repl)
-    assert len(witness) == res.size and is_dominating(g, witness)
     return frozenset(witness)
 
 
@@ -236,18 +232,14 @@ def split_reduce(g: Graph, variant: str,
         dstar: frozenset = frozenset({universal[0]})
     else:
         K, I = part
-        dstar = _kside_minimum_dominating(g, K, I, gamma_solver)
-    if variant == "dominating" or variant == "connected":
-        assert is_dominating(g, dstar, variant)
-        return DominationResult(variant, len(dstar), dstar)
-    if len(dstar) == 1:
+        dstar = _kside_minimum_dominating(g, K, I, gamma_solver(g))
+    witness = dstar
+    if variant == "total" and len(dstar) == 1:
         u = next(iter(dstar))
-        v = min(bits(g.adj[u]))
-        witness = frozenset({u, v})
-    else:
-        witness = dstar
-    assert is_dominating(g, witness, "total")
-    return DominationResult("total", len(witness), witness)
+        witness = frozenset({u, min(bits(g.adj[u]))})
+    if not is_dominating(g, witness, variant):
+        raise DominationError(f"{variant} witness fails verification")
+    return DominationResult(variant, len(witness), witness)
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +279,8 @@ def solve_h_free_split(g: Graph, variant: str) -> DominationResult:
         csize, cwit = _solve_component(g, comp, variant)
         size += csize
         witness |= cwit
-    assert is_dominating(g, witness, variant)
+    if not is_dominating(g, witness, variant):
+        raise DominationError(f"{variant} witness fails verification")
     return DominationResult(variant, size, frozenset(witness))
 
 
@@ -313,10 +306,9 @@ def _solve_component(g: Graph, comp: int, variant: str) -> tuple[int, set]:
     expr = build_from_tree(decompose_split_h_free(ls))
     gamma = dp_dominating_set(expr)
     # move the witness into the clique side of the residue, then lift
-    dstar = _kside_minimum_dominating(res, rK, rI, lambda _g: gamma)
+    dstar = _kside_minimum_dominating(res, rK, rI, gamma)
     comp_witness = {rids[v] for v in dstar}
     csize = len(comp_witness)
-    assert is_dominating(sub, comp_witness)
     if variant == "total" and csize == 1:
         u = next(iter(comp_witness))
         comp_witness.add(min(bits(sub.adj[u])))

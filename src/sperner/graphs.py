@@ -22,7 +22,7 @@ from typing import Iterable, Optional
 
 from .bitset import (bits, connected_components, is_connected, mask_of,
                      maximal_cliques, minimal_masks, popcount)
-from .hypergraph import Hypergraph, dual_masks
+from .hypergraph import Hypergraph, co_occurrence_adjacency, dual_masks
 
 
 class GraphError(ValueError):
@@ -132,10 +132,6 @@ def _cycle(n: int) -> Graph:
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def _complete(n: int) -> Graph:
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
-
-
 def _build_patterns() -> dict[str, Graph]:
     two_p3 = Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)])
     # H: 2P3 plus the edge joining the two degree-two (middle) vertices
@@ -158,12 +154,8 @@ def _build_patterns() -> dict[str, Graph]:
 
 PATTERNS: dict[str, Graph] = _build_patterns()
 
-# Labeled sides of the catalog patterns that have a canonical labeling:
-# 2P3 as a bigraph has its four endpoints on the A side and the two middle
-# vertices on the B side; H and co-H have unique split partitions.
-TWO_P3_SIDES = (frozenset({0, 2, 3, 5}), frozenset({1, 4}))
+# The unique split partition (K, I) of H: the two middle vertices form K.
 H_SPLIT = (frozenset({1, 4}), frozenset({0, 2, 3, 5}))
-CO_H_SPLIT = (frozenset({0, 2, 3, 5}), frozenset({1, 4}))
 
 
 def pattern(name: str) -> Graph:
@@ -251,10 +243,6 @@ def contains_induced(g: Graph, pat: Graph, cap: int = 7) -> bool:
     return find_induced(g, pat, cap) is not None
 
 
-def is_free_of(g: Graph, names: Iterable[str]) -> bool:
-    return all(find_induced(g, pattern(nm)) is None for nm in names)
-
-
 def forbidden_witness(g: Graph, names: Iterable[str]) -> Optional[tuple[str, tuple[int, ...]]]:
     """First forbidden pattern found, as (name, image), or None."""
     for nm in names:
@@ -274,7 +262,10 @@ def find_split_partition(g: Graph) -> Optional[tuple[frozenset, frozenset]]:
     Degree-sequence test: sort degrees non-increasingly, take the largest m
     with d_m >= m-1; the graph is split iff sum of the top m degrees equals
     m(m-1) plus the sum of the rest, and then the top-m vertices form K.
-    Ties are broken by placing lower-indexed vertices first.
+    Ties are broken by placing lower-indexed vertices first; when the
+    equality holds, any m vertices of top degree form a clique and the
+    rest an independent set, whatever the order among equal degrees
+    (Hammer and Simeone, The splittance of a graph, Combinatorica 1981).
     """
     n = g.n
     orderv = sorted(range(n), key=lambda v: (-g.degree(v), v))
@@ -285,39 +276,8 @@ def find_split_partition(g: Graph) -> Optional[tuple[frozenset, frozenset]]:
             m = i + 1
     if sum(d[:m]) != m * (m - 1) + sum(d[m:]):
         return None
-    kset = orderv[:m]
-    kmask = mask_of(kset)
-    # ties at the boundary can put a non-clique vertex into K; repair by
-    # swapping boundary vertices of equal degree
-    if not _valid_split(g, kmask):
-        if m and m < n and d[m - 1] == d[m]:
-            deg = d[m - 1]
-            lo = [v for v in kset if g.degree(v) == deg]
-            hi = [v for v in orderv[m:] if g.degree(v) == deg]
-            import itertools
-            base = kmask ^ mask_of(lo)
-            for take in itertools.combinations(sorted(lo + hi), len(lo)):
-                cand = base | mask_of(take)
-                if _valid_split(g, cand):
-                    kmask = cand
-                    break
-            else:
-                return None
-        else:
-            return None
-    K = frozenset(bits(kmask))
+    K = frozenset(orderv[:m])
     return K, frozenset(range(n)) - K
-
-
-def _valid_split(g: Graph, kmask: int) -> bool:
-    imask = ((1 << g.n) - 1) ^ kmask
-    for v in bits(kmask):
-        if kmask & ~g.adj[v] & ~(1 << v):
-            return False
-    for v in bits(imask):
-        if g.adj[v] & imask:
-            return False
-    return True
 
 
 def find_bipartition(g: Graph) -> Optional[tuple[frozenset, frozenset]]:
@@ -478,7 +438,6 @@ def independent_set_hypergraph(g: Graph) -> Hypergraph:
 def co_occurrence(h: Hypergraph) -> Graph:
     """Graph on positions 0..n-1 (vertex i = h.vertices[i]); u ~ v iff some
     hyperedge contains both."""
-    from .hypergraph import co_occurrence_adjacency
     return Graph.from_adj(co_occurrence_adjacency(h))
 
 

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .bitset import bits, mask_of, maximal_cliques, popcount
+from .bitset import (bits, containment_pair, mask_of, maximal_cliques,
+                     popcount)
 
 
 class HypergraphError(ValueError):
@@ -154,13 +155,7 @@ def one_sperner_violation(h: Hypergraph) -> Optional[tuple[frozenset, frozenset]
 
 def is_sperner(h: Hypergraph) -> bool:
     """No hyperedge contains another."""
-    ms = h.edge_masks
-    for i, a in enumerate(ms):
-        for b in ms[i + 1:]:
-            inter = a & b
-            if inter == a or inter == b:
-                return False
-    return True
+    return containment_pair(h.edge_masks) is None
 
 
 def is_dually_sperner(h: Hypergraph) -> bool:
@@ -188,12 +183,7 @@ def is_k_sperner(h: Hypergraph, k: int) -> bool:
 
 def is_one_sperner(h: Hypergraph) -> bool:
     """min(|e\\f|, |f\\e|) == 1 for every pair; equals Sperner + dually Sperner."""
-    ms = h.edge_masks
-    for i, a in enumerate(ms):
-        for b in ms[i + 1:]:
-            if min(popcount(a & ~b), popcount(b & ~a)) != 1:
-                return False
-    return True
+    return one_sperner_violation(h) is None
 
 
 # ---------------------------------------------------------------------------
@@ -298,19 +288,13 @@ def _decompose_checked(h: Hypergraph) -> DecompositionTree:
         if is_z_decomposable(h, z):
             h1, h2 = split_at(h, z)
             return HNode(z, _decompose_checked(h1), _decompose_checked(h2))
-    raise AssertionError("no gluing vertex found in a 1-Sperner hypergraph")
+    raise HypergraphError("no gluing vertex found in a 1-Sperner hypergraph")
 
 
 def recompose(tree: DecompositionTree) -> Hypergraph:
     if isinstance(tree, HLeaf):
         return tree.base
     return glue(recompose(tree.left), recompose(tree.right), tree.z)
-
-
-def tree_depth(tree: DecompositionTree) -> int:
-    if isinstance(tree, HLeaf):
-        return 0
-    return 1 + max(tree_depth(tree.left), tree_depth(tree.right))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 from .bitset import bits, mask_of
-from .cliquewidth import (evaluate, expression_length, max_label,
+from .cliquewidth import (built, evaluate, expression_length, max_label,
                           parse_expression)
 from .decomposition import (DecompLeaf, decompose_bigraph_2p3_free,
                             decompose_cobigraph, decompose_split_h_free,
@@ -25,8 +25,9 @@ from .decomposition import (DecompLeaf, decompose_bigraph_2p3_free,
 from .domination import brute_force, dp_dominating_set, is_dominating, solve_h_free_split
 from .generators import (hyperedge_families, labeled_graphs,
                          one_sperner_hypergraphs, random_bigraph_2p3_free,
-                         random_graph, random_one_sperner, random_split_h_free,
-                         random_split_hbar_free, split_graph_structures)
+                         random_cobigraph, random_graph, random_one_sperner,
+                         random_split_h_free, random_split_hbar_free,
+                         split_graph_structures)
 from .graphs import (Graph, LabeledSplitGraph, bigraph_of,
                      dominating_set_hypergraph, edge_clique_split_of,
                      find_induced, pattern, vertex_clique_split_of)
@@ -311,7 +312,19 @@ def incidence_translation_sweep(max_n: int = 5, max_m: int = 5) -> SweepReport:
 # Criterion 5 and 6: graph decompositions and clique-width builders
 # ---------------------------------------------------------------------------
 
-CLASS_NAMES = ("split-H", "split-Hbar", "bigraph", "cobigraph")
+# name -> (decomposer of an instance, the M[a,b] of its nodes, generator);
+# instances are labeled graphs, except the plain graphs of "cobigraph"
+_CLASSES = {
+    "split-H": (decompose_split_h_free, (0, 1), random_split_h_free),
+    "split-Hbar": (decompose_split_hbar_free, (1, 0), random_split_hbar_free),
+    "bigraph": (decompose_bigraph_2p3_free, (0, 0), random_bigraph_2p3_free),
+    "cobigraph": (decompose_cobigraph, (1, 1), random_cobigraph),
+}
+CLASS_NAMES = tuple(_CLASSES)
+
+
+def _graph_of(inst) -> Graph:
+    return inst if isinstance(inst, Graph) else inst.g
 
 
 def _exhaustive_class_instances(name: str, max_total: int):
@@ -336,31 +349,15 @@ def _exhaustive_class_instances(name: str, max_total: int):
 
 
 def _generated_class_instances(name: str, count: int, max_n: int, seed: int):
+    generate = _CLASSES[name][2]
     rng = random.Random(seed)
     for _ in range(count):
-        size = rng.randint(1, max_n)
-        if name == "split-H":
-            yield random_split_h_free(size, rng)
-        elif name == "split-Hbar":
-            yield random_split_hbar_free(size, rng)
-        elif name == "bigraph":
-            yield random_bigraph_2p3_free(size, rng)
-        else:
-            yield random_bigraph_2p3_free(size, rng).g.complement()
-
-
-def _decompose_instance(name: str, inst):
-    if name == "split-H":
-        return decompose_split_h_free(inst), inst.g, (0, 1), mask_of(inst.I)
-    if name == "split-Hbar":
-        return decompose_split_hbar_free(inst), inst.g, (1, 0), mask_of(inst.K)
-    if name == "bigraph":
-        return decompose_bigraph_2p3_free(inst), inst.g, (0, 0), mask_of(inst.A)
-    return decompose_cobigraph(inst), inst, (1, 1), None
+        yield generate(rng.randint(1, max_n), rng)
 
 
 def _check_decomposition(name: str, inst, rep: SweepReport):
-    tree, g, (a, b), zside = _decompose_instance(name, inst)
+    decomposer, (a, b), _ = _CLASSES[name]
+    tree, g = decomposer(inst), _graph_of(inst)
     h_pat = pattern("H") if name == "split-H" else None
     covered = set()
     for node in iter_nodes(tree):
@@ -426,15 +423,7 @@ P4_EXPRESSION_TEXT = ("(adde 2 3 (union (rel 3 2 (rel 2 1 (adde 2 3 (union "
 
 
 def _build_instance(name: str, inst):
-    from .cliquewidth import (build_bigraph_2p3_free, build_cobigraph,
-                              build_split_h_free, build_split_hbar_free)
-    if name == "split-H":
-        return build_split_h_free(inst), inst.g
-    if name == "split-Hbar":
-        return build_split_hbar_free(inst), inst.g
-    if name == "bigraph":
-        return build_bigraph_2p3_free(inst), inst.g
-    return build_cobigraph(inst), inst
+    return built(_CLASSES[name][0](inst)), _graph_of(inst)
 
 
 def cliquewidth_roundtrip_sweep(per_class: int = 500, max_n: int = 20,
@@ -495,8 +484,7 @@ def domination_sweep(per_class: int = 500, gen_max_n: int = 12,
         for where, gen in (("exhaustive", _exhaustive_class_instances(name, min(exhaustive_n, 8))),
                            ("generated", _generated_class_instances(name, per_class, 20, seed))):
             for inst in gen:
-                g = inst if isinstance(inst, Graph) else inst.g
-                if g.n > dp_max_n:
+                if _graph_of(inst).n > dp_max_n:
                     continue
                 expr, g = _build_instance(name, inst)
                 rep.instances += 1

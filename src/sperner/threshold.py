@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Optional
 
 from .bitset import bits
@@ -32,6 +33,11 @@ from .hypergraph import Hypergraph, maximal_independent_masks
 from .lp import solve_nonnegative_feasibility
 
 ASUMMABILITY_CAP = 3
+
+
+class ThresholdError(ValueError):
+    """An unsupported request (beyond a cap) or a certificate that fails
+    its own verification."""
 
 
 def dependence_table(h: Hypergraph) -> bytearray:
@@ -90,11 +96,11 @@ def k_asummability_witness(h: Hypergraph, k: int,
                            cap: int = ASUMMABILITY_CAP) -> Optional[AsummabilityWitness]:
     """A violating witness for k-asummability, or None if h is k-asummable."""
     if k < 2:
-        raise ValueError("k must be >= 2")
+        raise ThresholdError("k must be >= 2")
     if k > cap:
-        raise ValueError(f"k-asummability beyond the cap {cap} is not supported")
+        raise ThresholdError(f"k-asummability beyond the cap {cap} is not supported")
     if h.n > 20:
-        raise ValueError("asummability testing capped at 20 vertices")
+        raise ThresholdError("asummability testing capped at 20 vertices")
     dep = dependence_table(h)
     if k == 2:
         found = _two_asummability_core(h.n, dep)
@@ -260,7 +266,6 @@ class ThresholdWitness:
 
 def _integer_scaled(weights: tuple[Fraction, ...], t: Fraction) -> tuple[list[int], int]:
     """Scale (w, t) by the common denominator; separation is scale-invariant."""
-    from math import lcm
     scale = lcm(t.denominator, *(w.denominator for w in weights)) if weights else t.denominator
     return [int(w * scale) for w in weights], int(t * scale)
 
@@ -289,7 +294,7 @@ def threshold_witness(h: Hypergraph) -> Optional[ThresholdWitness]:
         return None
     witness = ThresholdWitness(tuple(sol[:n]), sol[n])
     if not witness.verify(h):
-        raise AssertionError("threshold witness failed its own verification")
+        raise ThresholdError("threshold witness failed its own verification")
     return witness
 
 

@@ -108,7 +108,7 @@ def _cases():
             if i % 3 == 0:
                 cases.append(graph_case(["cwd", "--kind", kind], g))
 
-    # cwd, then eval of the printed expression
+    # cwd; record() adds an eval case for each printed expression
     for kind, graphs in in_class.items():
         for g in graphs[:5]:
             cases.append(graph_case(["cwd", "--kind", kind], g))

@@ -1,0 +1,38 @@
+"""Checks in the package must not be ``assert`` statements, which
+``python -O`` strips; the CLI must give the same output under ``-O``."""
+
+import ast
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import sperner
+from sperner.cli import main
+from sperner.generators import random_split_h_free
+from sperner.textio import write_graph
+
+PACKAGE = Path(sperner.__file__).parent
+
+
+def test_no_assert_statements_in_package():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_cwd_and_dominate_under_optimize_flag(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph(random_split_h_free(12, random.Random(5)).g))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for argv in (["cwd", "--kind", "split-H", str(path)], ["dominate", str(path)]):
+        proc = subprocess.run([sys.executable, "-O", "-m", "sperner.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert main(argv) == 0
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")

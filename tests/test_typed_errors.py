@@ -1,0 +1,108 @@
+"""Every self-check of the package raises a typed error, and the CLI maps
+it to exit code 2 with an ``error:`` line. Each test corrupts the producer
+a check guards and expects the check to fire."""
+
+import random
+
+import pytest
+
+import sperner.cli as cli
+import sperner.domination as domination
+import sperner.hypergraph as hypergraph
+from sperner.cliquewidth import Leaf
+from sperner.domination import DominationError, DominationResult
+from sperner.generators import random_one_sperner
+from sperner.graphs import Graph
+from sperner.hypergraph import Hypergraph, HypergraphError
+from sperner.textio import write_graph, write_hypergraph
+from sperner.threshold import ThresholdError, ThresholdWitness, threshold_witness
+
+
+def run_cli(capsys, *argv):
+    code = cli.main(list(argv))
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def test_hyp_check_beyond_asummability_cap_exits_2(tmp_path, capsys):
+    path = tmp_path / "p21.hyp"
+    path.write_text("21 20\n" + "".join(f"2 {i} {i + 1}\n" for i in range(20)))
+    assert run_cli(capsys, "hyp-check", str(path)) == (
+        2, "", "error: asummability testing capped at 20 vertices\n")
+
+
+def test_decompose_recompose_check(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "h.hyp"
+    path.write_text(write_hypergraph(random_one_sperner(6, random.Random(1))))
+    monkeypatch.setattr(cli, "recompose", lambda tree: Hypergraph([], []))
+    code, out, err = run_cli(capsys, "decompose", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the decomposition tree does not recompose")
+
+
+def test_cwd_evaluate_check(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph(Graph(3, [(0, 1), (1, 2)])))
+    assert run_cli(capsys, "cwd", "--kind", "split-H", str(path))[0] == 0
+    monkeypatch.setattr(cli, "built", lambda tree: Leaf(1, 0))
+    code, out, err = run_cli(capsys, "cwd", "--kind", "split-H", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: the 5-expression does not evaluate")
+
+
+def test_generate_one_sperner_check(capsys, monkeypatch):
+    bad = Hypergraph(range(2), [{0}, {0, 1}])
+    monkeypatch.setattr(cli, "random_one_sperner", lambda n, rng: bad)
+    code, _, err = run_cli(capsys, "generate", "--kind", "glue-tree", "--size", "2")
+    assert code == 2
+    assert err.startswith("error: the generator produced a hypergraph that is not 1-Sperner")
+
+
+def test_threshold_witness_verification_check(tmp_path, capsys, monkeypatch):
+    h = Hypergraph(range(2), [{0, 1}])
+    monkeypatch.setattr(ThresholdWitness, "verify", lambda self, h, exhaustive_limit=20: False)
+    with pytest.raises(ThresholdError, match="failed its own verification"):
+        threshold_witness(h)
+    path = tmp_path / "h.hyp"
+    path.write_text(write_hypergraph(h))
+    code, out, err = run_cli(capsys, "hyp-check", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: threshold witness failed its own verification\n"
+
+
+def test_gluing_vertex_check(monkeypatch):
+    monkeypatch.setattr(hypergraph, "is_z_decomposable", lambda h, z: False)
+    with pytest.raises(HypergraphError, match="no gluing vertex"):
+        hypergraph.decompose(Hypergraph(range(1), [{0}]))
+
+
+def test_brute_force_check(monkeypatch):
+    monkeypatch.setattr(domination, "is_dominating", lambda g, dset, variant="dominating": False)
+    with pytest.raises(DominationError, match="no dominating set"):
+        domination.brute_force(Graph(2, [(0, 1)]), "dominating")
+
+
+@pytest.mark.parametrize("fake_dp", [
+    lambda e, k, full: {},
+    lambda e, k, full: {(0, full): (0, ())},
+], ids=["no-complete-state", "witness-dominates-nothing"])
+def test_dp_witness_check(monkeypatch, fake_dp):
+    monkeypatch.setattr(domination, "_dp", fake_dp)
+    with pytest.raises(DominationError, match="no verified witness"):
+        domination.dp_dominating_set(Leaf(1, 0))
+
+
+@pytest.mark.parametrize("variant", domination.VARIANTS)
+def test_h_free_split_pipeline_check(monkeypatch, variant):
+    monkeypatch.setattr(domination, "_solve_component", lambda g, comp, variant: (0, set()))
+    with pytest.raises(DominationError, match="witness fails verification"):
+        domination.solve_h_free_split(Graph(2, [(0, 1)]), variant)
+
+
+@pytest.mark.parametrize("variant", domination.VARIANTS)
+def test_split_reduce_check(variant):
+    p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    # {0} is not dominating; moved into the clique side it becomes {1}
+    bad = lambda g: DominationResult("dominating", 1, frozenset({0}))
+    with pytest.raises(DominationError, match="witness fails verification"):
+        domination.split_reduce(p4, variant, gamma_solver=bad)
