@@ -29,6 +29,11 @@ The co-H and cobigraph cases are handled by complementing, delegating to
 the H / bigraph case, and mapping the tree back (which swaps the two
 children and the part pairs).
 
+H- and co-H-freeness of a labeled split graph are decided by O(|K|^2)
+pair tests, exact under any split partition because H has only one;
+the 2P3 checks of the two bigraph classes keep the generic 6-vertex
+search, since 2P3 can sit across a bipartition in more than one way.
+
 ``GRAPH_CLASSES`` is the one place that maps a class name (the CLI's
 ``--kind``) to its decomposer of unlabeled graphs: the class's partition
 search followed by its ``decompose_*`` function.
@@ -108,6 +113,20 @@ def labeled_h_witness(ls: LabeledSplitGraph):
 def labeled_co_h_witness(ls: LabeledSplitGraph):
     """A labeled co-H (degree-two side in the independent side)."""
     return _middle_pair_witness(ls.g, ls.I, mask_of(ls.K))
+
+
+def _pattern_witness(ls: LabeledSplitGraph, pair_witness, name: str):
+    """An induced copy of H or co-H in ls.g as ``find_induced`` reports it,
+    or None. ``pair_witness``, the matching O(|K|^2) labeled test, decides;
+    the 6-vertex search only runs once it has found a copy, to produce the
+    reported embedding."""
+    if pair_witness(ls) is None:
+        return None
+    w = find_induced(ls.g, pattern(name))
+    if w is None:
+        raise DecompositionError(
+            f"the pair test finds an induced {name} that the pattern search does not")
+    return w
 
 
 # ---------------------------------------------------------------------------
@@ -299,11 +318,14 @@ def decompose_split_h_free(ls: LabeledSplitGraph) -> GraphDecompositionTree:
     At each node z is an independent-side vertex, part3 = N(z), part4 the
     remaining clique vertices, part1 the independent vertices at distance
     two from z (which must be completely joined to part4), part2 the rest.
+    H-freeness is decided on the given partition by the O(|K|^2) pair test
+    of ``labeled_h_witness``: H has one split partition only, so any
+    induced H has its middles in K and its ends in I.
     """
     w = _containment_witness(ls.g, ls.K, mask_of(ls.I))
     if w is not None:
         raise DecompositionError("labeled split graph is not clique-Sperner", w)
-    w = find_induced(ls.g, pattern("H"))
+    w = _pattern_witness(ls, labeled_h_witness, "H")
     if w is not None:
         raise DecompositionError("graph contains an induced H", w)
     return _decompose_core(ls.g, mask_of(ls.I), mask_of(ls.K), 0, 1,
@@ -316,12 +338,14 @@ def decompose_split_hbar_free(ls: LabeledSplitGraph) -> GraphDecompositionTree:
     Complement, decompose as the H-free case (the complement of an
     independent-Sperner co-H-free split graph is a clique-Sperner H-free
     split graph with the sides exchanged), and map the tree back; the part
-    pairs and the two children swap.
+    pairs and the two children swap. co-H-freeness is decided by the pair
+    test of ``labeled_co_h_witness``: an induced co-H has its two
+    degree-two vertices in I, whose K-neighborhoods differ by >= 2 both ways.
     """
     w = _containment_witness(ls.g, ls.I)
     if w is not None:
         raise DecompositionError("labeled split graph is not independent-Sperner", w)
-    w = find_induced(ls.g, pattern("co-H"))
+    w = _pattern_witness(ls, labeled_co_h_witness, "co-H")
     if w is not None:
         raise DecompositionError("graph contains an induced co-H", w)
     comp = ls.g.complement()

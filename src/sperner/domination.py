@@ -21,7 +21,11 @@ Routes:
   neighborhoods, drop those whose neighborhood is strictly contained in
   another's (gamma is preserved), decompose the clique-Sperner residue,
   build a 5-expression, run the dynamic program, and lift the witness
-  back through the reductions.
+  back through the reductions. Membership costs a degree-sequence split
+  test (Hammer and Simeone) and an O(|K|^2) pair test: H has a single
+  split partition (middles in K, ends in I), so g has an induced H iff
+  two clique vertices have independent-side neighborhoods differing by
+  >= 2 both ways, whichever split partition of g is used.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Callable, Optional
 from .bitset import bits, is_connected, mask_of, popcount
 from .cliquewidth import (KExpression, Leaf, Relabel, Union_,
                           build_from_tree, evaluate, max_label)
-from .decomposition import decompose_split_h_free
+from .decomposition import decompose_split_h_free, labeled_h_witness
 from .graphs import (Graph, LabeledSplitGraph, find_induced,
                      find_split_partition, pattern)
 
@@ -256,13 +260,23 @@ def solve_h_free_split(g: Graph, variant: str) -> DominationResult:
     dynamic program runs. The witness is pushed into the clique side, so
     it dominates the deleted vertices, and the total/connected variants
     follow the connected-split reductions.
+
+    H-freeness is the O(|K|^2) pair test on the split partition found by
+    the degree sequence: H has exactly one split partition, so under any
+    split partition of g an induced H is two clique vertices whose
+    independent-side neighborhoods differ by >= 2 both ways. The 6-vertex
+    pattern search only runs after the test has found an H, to report it.
     """
     if variant not in VARIANTS:
         raise DominationError(f"unknown variant {variant!r}")
-    if find_split_partition(g) is None:
+    part = find_split_partition(g)
+    if part is None:
         raise DominationError("graph is not split")
-    w = find_induced(g, pattern("H"))
-    if w is not None:
+    if labeled_h_witness(LabeledSplitGraph(g, *part)) is not None:
+        w = find_induced(g, pattern("H"))
+        if w is None:
+            raise DominationError(
+                "the pair test finds an induced H that the pattern search does not")
         raise DominationError(f"graph contains an induced H: {w}")
     comps = g.components()
     if variant == "total" and any(popcount(c) == 1 for c in comps):

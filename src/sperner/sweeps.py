@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .bitset import bits, mask_of
 from .cliquewidth import (built, evaluate, expression_length, max_label,
@@ -244,10 +244,24 @@ def transversal_involution_sweep(max_n: int = 6, library_exhaustive_n: int = 5,
                       {"max_n": max_n, "library_exhaustive_n": library_exhaustive_n,
                        "library_sample": library_sample})
     t0 = time.time()
+    rng = random.Random(seed)
+    sampled = 0
+    # one pass: the sample draw consumes rng once per family, in order
     for fam in antichain_bitmaps(6):
         rep.instances += 1
-        if dual_family_bitmap(dual_family_bitmap(fam)) != fam:
+        dual = dual_family_bitmap(fam)
+        if dual_family_bitmap(dual) != fam:
             rep.flag(f"involution failed on family bitmap {fam:#x}")
+        if rng.random() * 7_828_354 > library_sample:
+            continue
+        masks = tuple(bits(fam))
+        if sum(1 << m for m in dual_masks(masks, 6)) != dual:
+            rep.flag(f"library transversal disagrees on masks {masks}")
+        if sampled % 20 == 0:
+            h = Hypergraph.from_masks(range(6), masks)
+            if transversal(transversal(h)) != h:
+                rep.flag(f"library involution failed on {h}")
+        sampled += 1
     rep.notes.append(f"word-parallel involution over {rep.instances} Sperner families")
     checked = 0
     for n in range(library_exhaustive_n + 1):
@@ -257,19 +271,6 @@ def transversal_involution_sweep(max_n: int = 6, library_exhaustive_n: int = 5,
             if got != dual_family_bitmap(fam):
                 rep.flag(f"library transversal disagrees on masks {masks} (n={n})")
             checked += 1
-    rng = random.Random(seed)
-    sampled = 0
-    for fam in antichain_bitmaps(6):
-        if rng.random() * 7_828_354 > library_sample:
-            continue
-        masks = tuple(bits(fam))
-        if sum(1 << m for m in dual_masks(masks, 6)) != dual_family_bitmap(fam):
-            rep.flag(f"library transversal disagrees on masks {masks}")
-        if sampled % 20 == 0:
-            h = Hypergraph.from_masks(range(6), masks)
-            if transversal(transversal(h)) != h:
-                rep.flag(f"library involution failed on {h}")
-        sampled += 1
     rep.notes.append(f"library agreement on {checked} small + {sampled} sampled families")
     rep.instances += checked + sampled
     rep.elapsed = time.time() - t0
@@ -312,13 +313,32 @@ def incidence_translation_sweep(max_n: int = 5, max_m: int = 5) -> SweepReport:
 # Criterion 5 and 6: graph decompositions and clique-width builders
 # ---------------------------------------------------------------------------
 
-# name -> (decomposer of an instance, the M[a,b] of its nodes, generator);
-# instances are labeled graphs, except the plain graphs of "cobigraph"
+def _two_p3_free_bigraph_of(h: Hypergraph):
+    lb = bigraph_of(h)
+    return lb if find_induced(lb.g, pattern("2P3")) is None else None
+
+
+def _cobigraph_of(h: Hypergraph):
+    lb = _two_p3_free_bigraph_of(h)
+    return None if lb is None else lb.g.complement()
+
+
+class _Class(NamedTuple):
+    decompose: Callable      # instance -> decomposition tree
+    ab: tuple[int, int]      # the M[a,b] of every node
+    generate: Callable       # (size, rng) -> instance
+    of_hypergraph: Callable  # 1-Sperner hypergraph -> instance, or None
+
+
+# Instances are labeled graphs, except the plain graphs of "cobigraph".
 _CLASSES = {
-    "split-H": (decompose_split_h_free, (0, 1), random_split_h_free),
-    "split-Hbar": (decompose_split_hbar_free, (1, 0), random_split_hbar_free),
-    "bigraph": (decompose_bigraph_2p3_free, (0, 0), random_bigraph_2p3_free),
-    "cobigraph": (decompose_cobigraph, (1, 1), random_cobigraph),
+    "split-H": _Class(decompose_split_h_free, (0, 1), random_split_h_free,
+                      edge_clique_split_of),
+    "split-Hbar": _Class(decompose_split_hbar_free, (1, 0), random_split_hbar_free,
+                         vertex_clique_split_of),
+    "bigraph": _Class(decompose_bigraph_2p3_free, (0, 0), random_bigraph_2p3_free,
+                      _two_p3_free_bigraph_of),
+    "cobigraph": _Class(decompose_cobigraph, (1, 1), random_cobigraph, _cobigraph_of),
 }
 CLASS_NAMES = tuple(_CLASSES)
 
@@ -330,34 +350,25 @@ def _graph_of(inst) -> Graph:
 def _exhaustive_class_instances(name: str, max_total: int):
     """All in-class graphs with at most max_total vertices, up to isomorphism,
     via the incidence constructions over small 1-Sperner hypergraphs."""
-    two_p3 = pattern("2P3")
+    of_hypergraph = _CLASSES[name].of_hypergraph
     for h in one_sperner_hypergraphs(max_total):
         if h.n + h.m == 0:
             continue
-        if name == "split-H":
-            yield edge_clique_split_of(h)
-        elif name == "split-Hbar":
-            yield vertex_clique_split_of(h)
-        else:
-            lb = bigraph_of(h)
-            if find_induced(lb.g, two_p3) is not None:
-                continue
-            if name == "bigraph":
-                yield lb
-            else:
-                yield lb.g.complement()
+        inst = of_hypergraph(h)
+        if inst is not None:
+            yield inst
 
 
 def _generated_class_instances(name: str, count: int, max_n: int, seed: int):
-    generate = _CLASSES[name][2]
+    generate = _CLASSES[name].generate
     rng = random.Random(seed)
     for _ in range(count):
         yield generate(rng.randint(1, max_n), rng)
 
 
 def _check_decomposition(name: str, inst, rep: SweepReport):
-    decomposer, (a, b), _ = _CLASSES[name]
-    tree, g = decomposer(inst), _graph_of(inst)
+    a, b = _CLASSES[name].ab
+    tree, g = _CLASSES[name].decompose(inst), _graph_of(inst)
     h_pat = pattern("H") if name == "split-H" else None
     covered = set()
     for node in iter_nodes(tree):
@@ -423,7 +434,7 @@ P4_EXPRESSION_TEXT = ("(adde 2 3 (union (rel 3 2 (rel 2 1 (adde 2 3 (union "
 
 
 def _build_instance(name: str, inst):
-    return built(_CLASSES[name][0](inst)), _graph_of(inst)
+    return built(_CLASSES[name].decompose(inst)), _graph_of(inst)
 
 
 def cliquewidth_roundtrip_sweep(per_class: int = 500, max_n: int = 20,

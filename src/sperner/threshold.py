@@ -240,21 +240,27 @@ class ThresholdWitness:
         Family check (complete by monotonicity of non-negative weights):
         w(e) >= t on minimal hyperedges, w(S) < t on maximal independent
         sets. For n <= exhaustive_limit additionally checks all 2^n
-        subsets with integer-scaled weights.
+        subsets with integer-scaled weights, from a table of all 2^n
+        subset sums; above that cap no table is built and the family
+        check sums the weights of each set.
         """
         if any(w < 0 for w in self.weights) or self.threshold < 0:
             return False
         n = h.n
         wint, tint = _integer_scaled(self.weights, self.threshold)
-        wsum = [0] * (1 << n)
-        for mask in range(1, 1 << n):
-            low = mask & -mask
-            wsum[mask] = wsum[mask ^ low] + wint[low.bit_length() - 1]
+        if n <= exhaustive_limit:
+            wsum = [0] * (1 << n)
+            for mask in range(1, 1 << n):
+                low = mask & -mask
+                wsum[mask] = wsum[mask ^ low] + wint[low.bit_length() - 1]
+            weight = wsum.__getitem__
+        else:
+            weight = lambda mask: sum(wint[i] for i in bits(mask))
         for e in minimal_masks(h.edge_masks):
-            if wsum[e] < tint:
+            if weight(e) < tint:
                 return False
         for s in maximal_independent_masks(h):
-            if wsum[s] >= tint:
+            if weight(s) >= tint:
                 return False
         if n <= exhaustive_limit:
             dep = dependence_table(h)
