@@ -17,15 +17,14 @@ import sys
 from . import textio
 from .cliquewidth import (ExpressionError, built, evaluate, format_expression,
                           parse_expression)
-from .decomposition import (GRAPH_CLASSES, DecompositionError,
-                            labeled_h_witness, tree_to_text)
-from .domination import DominationError, brute_force, solve_h_free_split
+from .decomposition import GRAPH_CLASSES, DecompositionError, tree_to_text
+from .domination import (DominationError, brute_force, is_h_free_split,
+                         solve_h_free_split)
 from .generators import (random_bigraph_2p3_free, random_one_sperner,
                          random_split_h_free)
 # find_induced is not called here; it stays bound because perfbench's
 # tracer test expects this module among the aliases it rebinds
-from .graphs import (GraphError, LabeledSplitGraph, find_induced,  # noqa: F401
-                     find_split_partition)
+from .graphs import GraphError, find_induced  # noqa: F401
 from .hypergraph import (HLeaf, Hypergraph, HypergraphError, decompose,
                          is_conformal, is_dually_sperner, is_one_sperner,
                          is_sperner, recompose)
@@ -118,10 +117,7 @@ def cmd_dominate(args) -> int:
         ["dominating", "total", "connected"]
     method = args.method
     if method == "auto":
-        part = find_split_partition(g)
-        is_h_free_split = (part is not None and
-                           labeled_h_witness(LabeledSplitGraph(g, *part)) is None)
-        method = "dp" if is_h_free_split else "brute"
+        method = "dp" if is_h_free_split(g) else "brute"
     lines = []
     records = []
     for variant in variants:
@@ -159,27 +155,15 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_no_kwargs = lambda args: {}
-_seed_kwargs = lambda args: {"seed": args.seed}
-_max_n_kwargs = lambda args: {"max_n": args.max_n, "seed": args.seed}
-_small_max_n_kwargs = lambda args: {"max_n": min(args.max_n, 6), "seed": args.seed}
-
-# suite -> its keyword arguments, taken from the global options
-_SWEEP_KWARGS = {
-    "threshold-equiv": _small_max_n_kwargs,
-    "domishold-equiv": _small_max_n_kwargs,
-    "decomposition-roundtrip": _max_n_kwargs,
-    "graph-decomposition": _max_n_kwargs,
-    "cwd-roundtrip": _max_n_kwargs,
-    "domination": _seed_kwargs,
-    "transversal-involution": _seed_kwargs,
-    "incidence-translation": _no_kwargs,
-    "fixtures": _no_kwargs,
-}
-
-
 def cmd_sweep(args) -> int:
-    rep = SUITES[args.suite](**_SWEEP_KWARGS[args.suite](args))
+    kwargs = {}
+    if args.suite in ("threshold-equiv", "domishold-equiv"):
+        kwargs = {"max_n": min(args.max_n, 6), "seed": args.seed}
+    elif args.suite in ("decomposition-roundtrip", "graph-decomposition", "cwd-roundtrip"):
+        kwargs = {"max_n": args.max_n, "seed": args.seed}
+    elif args.suite in ("domination", "transversal-involution"):
+        kwargs = {"seed": args.seed}
+    rep = SUITES[args.suite](**kwargs)
     if args.format == "records":
         print(json.dumps({"suite": rep.name, "passed": rep.passed,
                           "instances": rep.instances, "seed": rep.seed,

@@ -115,7 +115,7 @@ def labeled_co_h_witness(ls: LabeledSplitGraph):
     return _middle_pair_witness(ls.g, ls.I, mask_of(ls.K))
 
 
-def _pattern_witness(ls: LabeledSplitGraph, pair_witness, name: str):
+def pattern_witness(ls: LabeledSplitGraph, pair_witness, name: str):
     """An induced copy of H or co-H in ls.g as ``find_induced`` reports it,
     or None. ``pair_witness``, the matching O(|K|^2) labeled test, decides;
     the 6-vertex search only runs once it has found a copy, to produce the
@@ -325,7 +325,7 @@ def decompose_split_h_free(ls: LabeledSplitGraph) -> GraphDecompositionTree:
     w = _containment_witness(ls.g, ls.K, mask_of(ls.I))
     if w is not None:
         raise DecompositionError("labeled split graph is not clique-Sperner", w)
-    w = _pattern_witness(ls, labeled_h_witness, "H")
+    w = pattern_witness(ls, labeled_h_witness, "H")
     if w is not None:
         raise DecompositionError("graph contains an induced H", w)
     return _decompose_core(ls.g, mask_of(ls.I), mask_of(ls.K), 0, 1,
@@ -345,7 +345,7 @@ def decompose_split_hbar_free(ls: LabeledSplitGraph) -> GraphDecompositionTree:
     w = _containment_witness(ls.g, ls.I)
     if w is not None:
         raise DecompositionError("labeled split graph is not independent-Sperner", w)
-    w = _pattern_witness(ls, labeled_co_h_witness, "co-H")
+    w = pattern_witness(ls, labeled_co_h_witness, "co-H")
     if w is not None:
         raise DecompositionError("graph contains an induced co-H", w)
     comp = ls.g.complement()

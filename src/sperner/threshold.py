@@ -239,30 +239,25 @@ class ThresholdWitness:
 
         Family check (complete by monotonicity of non-negative weights):
         w(e) >= t on minimal hyperedges, w(S) < t on maximal independent
-        sets. For n <= exhaustive_limit additionally checks all 2^n
-        subsets with integer-scaled weights, from a table of all 2^n
-        subset sums; above that cap no table is built and the family
-        check sums the weights of each set.
+        sets, each set's integer-scaled weight summed directly. For
+        n <= exhaustive_limit additionally checks all 2^n subsets, from a
+        table of all 2^n subset sums.
         """
         if any(w < 0 for w in self.weights) or self.threshold < 0:
             return False
         n = h.n
         wint, tint = _integer_scaled(self.weights, self.threshold)
+        for e in minimal_masks(h.edge_masks):
+            if sum(wint[i] for i in bits(e)) < tint:
+                return False
+        for s in maximal_independent_masks(h):
+            if sum(wint[i] for i in bits(s)) >= tint:
+                return False
         if n <= exhaustive_limit:
             wsum = [0] * (1 << n)
             for mask in range(1, 1 << n):
                 low = mask & -mask
                 wsum[mask] = wsum[mask ^ low] + wint[low.bit_length() - 1]
-            weight = wsum.__getitem__
-        else:
-            weight = lambda mask: sum(wint[i] for i in bits(mask))
-        for e in minimal_masks(h.edge_masks):
-            if weight(e) < tint:
-                return False
-        for s in maximal_independent_masks(h):
-            if weight(s) >= tint:
-                return False
-        if n <= exhaustive_limit:
             dep = dependence_table(h)
             for mask in range(1 << n):
                 if (wsum[mask] >= tint) != bool(dep[mask]):
