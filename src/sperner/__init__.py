@@ -14,7 +14,7 @@ from .hypergraph import (Hypergraph, HypergraphError, NotOneSpernerError,
 from .graphs import (Graph, GraphError, LabeledBigraph, LabeledSplitGraph,
                      bigraph_of, clique_hypergraph,
                      closed_neighborhood_hypergraph, co_occurrence, complement,
-                     contains_induced, cutset_hypergraph,
+                     cutset_hypergraph,
                      dominating_set_hypergraph, edge_clique_split_of,
                      find_bipartition, find_induced, find_split_partition,
                      independent_set_hypergraph, neighborhood_hypergraph,
@@ -41,6 +41,7 @@ from .cliquewidth import (AddEdges, ExpressionError, Leaf, Relabel, Union_,
                           build_split_h_free, build_split_hbar_free, evaluate,
                           expression_length, format_expression, parse_expression)
 from .domination import (DominationResult, brute_force, dp_dominating_set,
-                         solve_h_free_split, split_reduce)
+                         solve_h_free_split, solve_h_free_split_all,
+                         split_reduce)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -18,8 +18,8 @@ from . import textio
 from .cliquewidth import (ExpressionError, built, evaluate, format_expression,
                           parse_expression)
 from .decomposition import GRAPH_CLASSES, DecompositionError, tree_to_text
-from .domination import (DominationError, brute_force, is_h_free_split,
-                         solve_h_free_split)
+from .domination import (VARIANTS, DominationError, brute_force,
+                         is_h_free_split, solve_h_free_split_all)
 from .generators import (random_bigraph_2p3_free, random_one_sperner,
                          random_split_h_free)
 # find_induced is not called here; it stays bound because perfbench's
@@ -113,32 +113,34 @@ def cmd_eval(args) -> int:
 
 def cmd_dominate(args) -> int:
     g = textio.read_graph(_load(args.path))
-    variants = [args.variant] if args.variant != "all" else \
-        ["dominating", "total", "connected"]
+    variants = VARIANTS if args.variant == "all" else (args.variant,)
     method = args.method
     if method == "auto":
         method = "dp" if is_h_free_split(g) else "brute"
+    if method == "dp":
+        solved = solve_h_free_split_all(g)
+        results = [solved[VARIANTS.index(v)] for v in variants]
+    else:
+        results = [brute_force(g, v, cap=args.max_n) for v in variants]
     lines = []
     records = []
-    for variant in variants:
-        if method == "dp":
-            res = solve_h_free_split(g, variant)
-        else:
-            res = brute_force(g, variant, cap=args.max_n)
+    for res in results:
         if res.infeasible:
-            lines.append(f"{variant} infeasible")
-            records.append({"variant": variant, "infeasible": True,
+            lines.append(f"{res.variant} infeasible")
+            records.append({"variant": res.variant, "infeasible": True,
                             "method": method})
         else:
             wit = " ".join(str(v) for v in sorted(res.witness))
-            lines.append(f"{variant} {res.size} {wit}".rstrip())
-            records.append({"variant": variant, "size": res.size,
+            lines.append(f"{res.variant} {res.size} {wit}".rstrip())
+            records.append({"variant": res.variant, "size": res.size,
                             "witness": sorted(res.witness), "method": method})
     _emit(args, records, lines)
     return 0
 
 
 def cmd_generate(args) -> int:
+    if args.size < 0:
+        raise GraphError(f"--size must be non-negative, got {args.size}")
     rng = random.Random(args.seed)
     print(f"# kind={args.kind} size={args.size} seed={args.seed}")
     if args.kind == "glue-tree":
@@ -207,8 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dominate", help="solve a domination variant")
     p.add_argument("path")
-    p.add_argument("--variant", choices=("dominating", "total", "connected",
-                                         "all"), default="all")
+    p.add_argument("--variant", choices=(*VARIANTS, "all"), default="all")
     p.add_argument("--method", choices=("auto", "brute", "dp"), default="auto")
     p.set_defaults(func=cmd_dominate)
 

@@ -15,17 +15,20 @@ Routes:
 * ``split_reduce`` derives the total/connected answers from a minimum
   dominating set on a connected split graph: a minimum dominating set
   inside the clique side always exists, it is connected, and it is total
-  unless it has size one (then any neighbor joins it).
-* ``solve_h_free_split`` is the full pipeline for H-free split graphs:
-  per component, collapse clique vertices with equal independent-side
-  neighborhoods, drop those whose neighborhood is strictly contained in
-  another's (gamma is preserved), decompose the clique-Sperner residue,
-  build a 5-expression, run the dynamic program, and lift the witness
-  back through the reductions. Membership costs a degree-sequence split
-  test (Hammer and Simeone) and an O(|K|^2) pair test: H has a single
-  split partition (middles in K, ends in I), so g has an induced H iff
-  two clique vertices have independent-side neighborhoods differing by
-  >= 2 both ways, whichever split partition of g is used.
+  unless it has size one (then its smallest neighbor joins it; this one
+  variant rule is ``_total_witness``).
+* ``solve_h_free_split_all`` is the full pipeline for H-free split
+  graphs, one pass for all three variants: per component, collapse clique
+  vertices with equal independent-side neighborhoods, drop those whose
+  neighborhood is strictly contained in another's (gamma is preserved),
+  decompose the clique-Sperner residue, build a 5-expression, run the
+  dynamic program once, lift the witness into the clique side, and derive
+  the variants by the same rule; each answer gets one check against g.
+  Membership costs a degree-sequence split test (Hammer and Simeone) and
+  an O(|K|^2) pair test: H has a single split partition (middles in K,
+  ends in I), so g has an induced H iff two clique vertices have
+  independent-side neighborhoods differing by >= 2 both ways, whichever
+  split partition of g is used.
 """
 
 from __future__ import annotations
@@ -213,17 +216,28 @@ def _kside_minimum_dominating(g: Graph, K: frozenset, I: frozenset,
     return frozenset(witness)
 
 
+def _total_witness(g: Graph, dstar: frozenset) -> frozenset:
+    """The one variant rule: a clique-side minimum dominating set of a
+    connected split graph is connected, and total unless it is a single
+    vertex, which then takes its smallest neighbor (gamma_t = max(gamma, 2))."""
+    if len(dstar) != 1:
+        return dstar
+    (u,) = dstar
+    return dstar | {min(bits(g.adj[u]))}
+
+
+def _verified(g: Graph, variant: str, witness: frozenset) -> DominationResult:
+    if not is_dominating(g, witness, variant):
+        raise DominationError(f"{variant} witness fails verification")
+    return DominationResult(variant, len(witness), witness)
+
+
 def split_reduce(g: Graph, variant: str,
                  gamma_solver: Optional[Callable[[Graph], DominationResult]] = None
                  ) -> DominationResult:
-    """Total/connected domination on a connected split graph via a minimum
-    dominating set: gamma_c = gamma always, gamma_t = max(gamma, 2).
-
-    A universal vertex is detected directly before anything else; the
-    generic path moves a minimum dominating set into the clique side,
-    where it induces a connected (and, at size two or more, total)
-    dominating set.
-    """
+    """Total/connected domination on a connected split graph from a minimum
+    dominating set (``gamma_solver``, brute force by default) moved into the
+    clique side: gamma_c = gamma always, gamma_t = max(gamma, 2)."""
     if variant not in VARIANTS:
         raise DominationError(f"unknown variant {variant!r}")
     part = find_split_partition(g)
@@ -233,20 +247,8 @@ def split_reduce(g: Graph, variant: str,
         raise DominationError("split reductions need a connected graph, n >= 2")
     if gamma_solver is None:
         gamma_solver = lambda gg: brute_force(gg, "dominating")
-    full = (1 << g.n) - 1
-    universal = [v for v in range(g.n) if g.adj[v] | (1 << v) == full]
-    if universal:
-        dstar: frozenset = frozenset({universal[0]})
-    else:
-        K, I = part
-        dstar = _kside_minimum_dominating(g, K, I, gamma_solver(g))
-    witness = dstar
-    if variant == "total" and len(dstar) == 1:
-        u = next(iter(dstar))
-        witness = frozenset({u, min(bits(g.adj[u]))})
-    if not is_dominating(g, witness, variant):
-        raise DominationError(f"{variant} witness fails verification")
-    return DominationResult(variant, len(witness), witness)
+    dstar = _kside_minimum_dominating(g, *part, gamma_solver(g))
+    return _verified(g, variant, _total_witness(g, dstar) if variant == "total" else dstar)
 
 
 # ---------------------------------------------------------------------------
@@ -261,24 +263,22 @@ def is_h_free_split(g: Graph) -> bool:
 
 
 def solve_h_free_split(g: Graph, variant: str) -> DominationResult:
-    """Exact domination for H-free split graphs via clique-width.
-
-    Per connected component: reduce the clique side to one representative
-    per independent-side neighborhood and drop strictly dominated ones
-    (each such deletion preserves gamma); the residue is clique-Sperner
-    and H-free, so it has a 5-expression, on which the dominating-set
-    dynamic program runs. The witness is pushed into the clique side, so
-    it dominates the deleted vertices, and the total/connected variants
-    follow the connected-split reductions.
-
-    H-freeness is the O(|K|^2) pair test on the split partition found by
-    the degree sequence: H has exactly one split partition, so under any
-    split partition of g an induced H is two clique vertices whose
-    independent-side neighborhoods differ by >= 2 both ways. The 6-vertex
-    pattern search only runs after the test has found an H, to report it.
-    """
+    """One variant's entry of ``solve_h_free_split_all(g)``."""
     if variant not in VARIANTS:
         raise DominationError(f"unknown variant {variant!r}")
+    return solve_h_free_split_all(g)[VARIANTS.index(variant)]
+
+
+def solve_h_free_split_all(g: Graph) -> tuple[DominationResult, ...]:
+    """Exact domination for H-free split graphs via clique-width: all
+    three variants, in ``VARIANTS`` order, from one minimum dominating set
+    inside the clique side per component (``_component_kside``). Their
+    union is the dominating answer and, when g is connected, the connected
+    one; ``_total_witness`` per component gives the total one. Total
+    domination is infeasible iff some component is a single vertex. Each
+    answer is checked against g. H-freeness is the pair test (see the
+    module docstring); the 6-vertex search only runs to report an H.
+    """
     part = find_split_partition(g)
     if part is None:
         raise DominationError("graph is not split")
@@ -286,26 +286,28 @@ def solve_h_free_split(g: Graph, variant: str) -> DominationResult:
     if w is not None:
         raise DominationError(f"graph contains an induced H: {w}")
     comps = g.components()
-    if variant == "total" and any(popcount(c) == 1 for c in comps):
-        return DominationResult(variant, None, None, infeasible=True)
-    if variant == "connected" and len(comps) > 1:
-        return DominationResult(variant, None, None, infeasible=True)
-    size = 0
-    witness: set = set()
-    for comp in comps:
-        if popcount(comp) == 1:
-            witness |= set(bits(comp))
-            size += 1
-            continue
-        csize, cwit = _solve_component(g, comp, variant)
-        size += csize
-        witness |= cwit
-    if not is_dominating(g, witness, variant):
-        raise DominationError(f"{variant} witness fails verification")
-    return DominationResult(variant, size, frozenset(witness))
+    dstars = [frozenset(bits(c)) if popcount(c) == 1 else _component_kside(g, c)
+              for c in comps]
+    dominating = _verified(g, "dominating", frozenset().union(*dstars))
+    if any(popcount(c) == 1 for c in comps):
+        total = DominationResult("total", None, None, infeasible=True)
+    else:
+        total = _verified(g, "total", frozenset().union(
+            *(_total_witness(g, d) for d in dstars)))
+    if len(comps) > 1:
+        connected = DominationResult("connected", None, None, infeasible=True)
+    else:
+        connected = _verified(g, "connected", dominating.witness)
+    return dominating, total, connected
 
 
-def _solve_component(g: Graph, comp: int, variant: str) -> tuple[int, set]:
+def _component_kside(g: Graph, comp: int) -> frozenset:
+    """A minimum dominating set of component ``comp`` (two or more
+    vertices) inside its clique side, in g's ids; lifting keeps vertex
+    order, so smallest neighbors stay smallest. Clique vertices with equal
+    independent-side neighborhoods collapse to one and strictly dominated
+    ones drop (gamma is preserved); the clique-Sperner, H-free residue has
+    a 5-expression, on which the dynamic program runs."""
     sub, ids = g.induced_with_map(bits(comp))
     K, I = find_split_partition(sub)
     imask = mask_of(I)
@@ -328,10 +330,4 @@ def _solve_component(g: Graph, comp: int, variant: str) -> tuple[int, set]:
     gamma = dp_dominating_set(expr)
     # move the witness into the clique side of the residue, then lift
     dstar = _kside_minimum_dominating(res, rK, rI, gamma)
-    comp_witness = {rids[v] for v in dstar}
-    csize = len(comp_witness)
-    if variant == "total" and csize == 1:
-        u = next(iter(comp_witness))
-        comp_witness.add(min(bits(sub.adj[u])))
-        csize = 2
-    return csize, {ids[v] for v in comp_witness}
+    return frozenset(ids[rids[v]] for v in dstar)

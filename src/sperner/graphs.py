@@ -239,10 +239,6 @@ def find_induced(g: Graph, pat: Graph, cap: int = 7) -> Optional[tuple[int, ...]
     return None
 
 
-def contains_induced(g: Graph, pat: Graph, cap: int = 7) -> bool:
-    return find_induced(g, pat, cap) is not None
-
-
 def forbidden_witness(g: Graph, names: Iterable[str]) -> Optional[tuple[str, tuple[int, ...]]]:
     """First forbidden pattern found, as (name, image), or None."""
     for nm in names:

@@ -143,14 +143,20 @@ class Hypergraph:
 # Sperner-type predicates
 # ---------------------------------------------------------------------------
 
-def one_sperner_violation(h: Hypergraph) -> Optional[tuple[frozenset, frozenset]]:
-    """A pair of hyperedges with min set-difference size != 1, or None."""
-    ms = h.edge_masks
+def _min_difference_outside(ms, lo: int, hi: int) -> Optional[tuple[int, int]]:
+    """The first pair of masks, in list order, whose min set-difference size
+    min(|a\\b|, |b\\a|) lies outside [lo, hi], or None."""
     for i, a in enumerate(ms):
         for b in ms[i + 1:]:
-            if min(popcount(a & ~b), popcount(b & ~a)) != 1:
-                return (h.edge_set(a), h.edge_set(b))
+            if not lo <= min(popcount(a & ~b), popcount(b & ~a)) <= hi:
+                return a, b
     return None
+
+
+def one_sperner_violation(h: Hypergraph) -> Optional[tuple[frozenset, frozenset]]:
+    """A pair of hyperedges with min set-difference size != 1, or None."""
+    pair = _min_difference_outside(h.edge_masks, 1, 1)
+    return None if pair is None else (h.edge_set(pair[0]), h.edge_set(pair[1]))
 
 
 def is_sperner(h: Hypergraph) -> bool:
@@ -160,25 +166,14 @@ def is_sperner(h: Hypergraph) -> bool:
 
 def is_dually_sperner(h: Hypergraph) -> bool:
     """Every two distinct hyperedges have min set-difference size <= 1."""
-    ms = h.edge_masks
-    for i, a in enumerate(ms):
-        for b in ms[i + 1:]:
-            if min(popcount(a & ~b), popcount(b & ~a)) > 1:
-                return False
-    return True
+    return _min_difference_outside(h.edge_masks, 0, 1) is None
 
 
 def is_k_sperner(h: Hypergraph, k: int) -> bool:
     """Every two distinct hyperedges e, f satisfy 1 <= min(|e\\f|, |f\\e|) <= k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    ms = h.edge_masks
-    for i, a in enumerate(ms):
-        for b in ms[i + 1:]:
-            d = min(popcount(a & ~b), popcount(b & ~a))
-            if d < 1 or d > k:
-                return False
-    return True
+    return _min_difference_outside(h.edge_masks, 1, k) is None
 
 
 def is_one_sperner(h: Hypergraph) -> bool:

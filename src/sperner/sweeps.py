@@ -22,7 +22,8 @@ from .decomposition import (DecompLeaf, decompose_bigraph_2p3_free,
                             is_independent_sperner, is_right_sperner,
                             iter_nodes, labeled_two_p3_witness,
                             validate_m_partition)
-from .domination import brute_force, dp_dominating_set, is_dominating, solve_h_free_split
+from .domination import (VARIANTS, brute_force, dp_dominating_set, is_dominating,
+                         solve_h_free_split_all)
 from .generators import (hyperedge_families, labeled_graphs,
                          one_sperner_hypergraphs, random_bigraph_2p3_free,
                          random_cobigraph, random_graph, random_one_sperner,
@@ -537,8 +538,7 @@ def domination_sweep(per_class: int = 500, gen_max_n: int = 12,
 
 
 def _check_pipeline(g: Graph, rep: SweepReport):
-    for variant in ("dominating", "total", "connected"):
-        got = solve_h_free_split(g, variant)
+    for variant, got in zip(VARIANTS, solve_h_free_split_all(g)):
         want = brute_force(g, variant)
         if got.infeasible != want.infeasible:
             rep.flag(f"{variant} feasibility mismatch on {g}")

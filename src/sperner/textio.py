@@ -35,7 +35,9 @@ def _tokenized_lines(text: str):
             yield i, body.split()
 
 
-def read_hypergraph(text: str) -> Hypergraph:
+def _header(text: str, item: str) -> tuple[int, list]:
+    """The vertex count and the tokenized lines, header first, after
+    checking the 'n m' header and that m ``item`` lines follow it."""
     lines = list(_tokenized_lines(text))
     if not lines:
         raise ParseError("empty input, expected 'n m' header", 1)
@@ -49,7 +51,12 @@ def read_hypergraph(text: str) -> Hypergraph:
     if n < 0 or m < 0:
         raise ParseError("header values must be non-negative", ln)
     if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} hyperedge lines, found {len(lines) - 1}", ln)
+        raise ParseError(f"expected {m} {item} lines, found {len(lines) - 1}", ln)
+    return n, lines
+
+
+def read_hypergraph(text: str) -> Hypergraph:
+    n, lines = _header(text, "hyperedge")
     edges = []
     for ln, toks in lines[1:]:
         try:
@@ -83,18 +90,7 @@ def write_hypergraph(h: Hypergraph) -> str:
 
 
 def read_graph(text: str) -> Graph:
-    lines = list(_tokenized_lines(text))
-    if not lines:
-        raise ParseError("empty input, expected 'n m' header", 1)
-    ln, head = lines[0]
-    if len(head) != 2:
-        raise ParseError("header must be 'n m'", ln)
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
-        raise ParseError("header values must be integers", ln) from None
-    if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} edge lines, found {len(lines) - 1}", ln)
+    n, lines = _header(text, "edge")
     edges = []
     seen = set()
     for ln, toks in lines[1:]:

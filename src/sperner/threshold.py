@@ -231,9 +231,6 @@ class ThresholdWitness:
     weights: tuple[Fraction, ...]
     threshold: Fraction
 
-    def weight_of(self, h: Hypergraph, X: Iterable[int]) -> Fraction:
-        return sum((self.weights[h.position(v)] for v in X), Fraction(0))
-
     def verify(self, h: Hypergraph, exhaustive_limit: int = 20) -> bool:
         """Exact separation check.
 

@@ -1,0 +1,89 @@
+"""The H-free split pipeline answers all three domination variants from one
+minimum dominating set per component: one dynamic-program run per
+component with two or more vertices, whatever the number of variants."""
+
+import random
+
+import pytest
+
+import sperner.cli as cli
+import sperner.domination as domination
+from sperner.bitset import popcount
+from sperner.domination import (VARIANTS, brute_force, is_dominating,
+                                solve_h_free_split, solve_h_free_split_all)
+from sperner.generators import random_split_h_free, split_graph_structures
+from sperner.graphs import Graph, find_induced, pattern
+from sperner.textio import write_graph
+
+
+def _count_dp_calls(monkeypatch):
+    calls = []
+    orig = domination.dp_dominating_set
+
+    def counting(e):
+        calls.append(e)
+        return orig(e)
+
+    monkeypatch.setattr(domination, "dp_dominating_set", counting)
+    return calls
+
+
+def _nontrivial_components(g):
+    return sum(1 for c in g.components() if popcount(c) > 1)
+
+
+@pytest.mark.parametrize("g", [
+    Graph(5, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4)]),
+    # a star plus two isolated vertices: total and connected are infeasible
+    Graph(6, [(1, 2), (1, 3), (1, 4)]),
+], ids=["connected", "disconnected"])
+def test_dominate_runs_the_dp_once_per_component(tmp_path, capsys, monkeypatch, g):
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph(g))
+    calls = _count_dp_calls(monkeypatch)
+    assert cli.main(["dominate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == len(VARIANTS)
+    assert len(calls) == _nontrivial_components(g) == 1
+
+
+def test_dominate_dp_calls_on_generated_graphs(tmp_path, capsys, monkeypatch):
+    calls = _count_dp_calls(monkeypatch)
+    rng = random.Random(41)
+    seen_disconnected = False
+    for i in range(20):
+        g = random_split_h_free(rng.randint(2, 14), rng).g
+        seen_disconnected |= not g.is_connected()
+        path = tmp_path / f"g{i}.graph"
+        path.write_text(write_graph(g))
+        before = len(calls)
+        assert cli.main(["dominate", "--method", "auto", str(path)]) == 0
+        capsys.readouterr()
+        assert len(calls) - before == _nontrivial_components(g)
+    assert seen_disconnected
+
+
+def test_single_variant_is_an_entry_of_all_exhaustive_n7():
+    h_pat = pattern("H")
+    checked = 0
+    for n in range(8):
+        for ls in split_graph_structures(n):
+            g = ls.g
+            if find_induced(g, h_pat) is not None:
+                continue
+            checked += 1
+            every = solve_h_free_split_all(g)
+            assert tuple(r.variant for r in every) == VARIANTS
+            for i, variant in enumerate(VARIANTS):
+                assert solve_h_free_split(g, variant) == every[i], (g, variant)
+                want = brute_force(g, variant)
+                assert every[i].infeasible == want.infeasible, (g, variant)
+                if not want.infeasible:
+                    assert every[i].size == want.size, (g, variant)
+                    assert is_dominating(g, every[i].witness, variant)
+    assert checked > 1000
+
+
+def test_unknown_variant_is_rejected():
+    with pytest.raises(domination.DominationError, match="unknown variant"):
+        solve_h_free_split(Graph(2, [(0, 1)]), "independent")
