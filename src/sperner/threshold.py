@@ -17,7 +17,15 @@ The 2-asummability test walks sum-vector profiles instead of pairs of
 sets: a violating quadruple exists iff there are disjoint masks (I, d)
 such that some split of d extends I to two dependent sets and some other
 split extends it to two independent sets. That is O(4^n) with tiny
-constants and yields a witness directly.
+constants and yields a witness directly. It reads a 2^n dependence table,
+built word-parallel (see ``dependence_table``), as does the exhaustive
+check of ``ThresholdWitness.verify``.
+
+``sperner hyp-check`` reads 2-asummability off a verified threshold
+certificate instead (the proof is at ``cli.cmd_hyp_check``) and searches
+only non-threshold inputs, so the 20-vertex search cap binds only there.
+``is_k_asummable`` always searches: ``recognition`` and the sweeps use it
+as an oracle independent of the LP.
 """
 
 from __future__ import annotations
@@ -41,17 +49,24 @@ class ThresholdError(ValueError):
 
 
 def dependence_table(h: Hypergraph) -> bytearray:
-    """dep[mask] = 1 iff the vertex set with that position-mask is dependent."""
+    """dep[mask] = 1 iff the vertex set with that position-mask is dependent.
+
+    Word-parallel: the table is one integer with a byte per subset, seeded
+    with the hyperedges and closed upward by n shift-or-and steps, as in
+    ``sweeps.dual_family_bitmap``: step b ors the table, shifted up by 2^b
+    bytes, into the sets that contain vertex b. Bytes stay 0/1, so no step
+    carries into a neighbour.
+    """
     n = h.n
-    table = bytearray(1 << n)
+    size = 1 << n
+    table = 0
     for e in h.edge_masks:
-        table[e] = 1
+        table |= 1 << (8 * e)
     for b in range(n):
-        bit = 1 << b
-        for mask in range(1 << n):
-            if mask & bit and table[mask ^ bit]:
-                table[mask] = 1
-    return table
+        block = 1 << b
+        has_b = int.from_bytes((bytes(block) + b"\x01" * block) * (size >> (b + 1)), "little")
+        table |= (table << (8 * block)) & has_b
+    return bytearray(table.to_bytes(size, "little"))
 
 
 def is_independent_set(h: Hypergraph, X: Iterable[int]) -> bool:

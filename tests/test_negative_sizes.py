@@ -1,5 +1,6 @@
 """A negative vertex count in a graph file header, or a negative
-``generate --size``, is a typed error with exit code 2, not a traceback."""
+``generate --size``, is a typed error with exit code 2, not a traceback;
+``generate --size 0`` gives the empty instance of every kind."""
 
 import pytest
 
@@ -36,3 +37,10 @@ def test_both_readers_reject_negative_headers(read, text):
 def test_generate_negative_size_exits_2(capsys, kind):
     assert run_cli(capsys, "generate", "--kind", kind, "--size", "-3") == (
         2, "", "error: --size must be non-negative, got -3\n")
+
+
+@pytest.mark.parametrize("seed", ["1", "177"])
+@pytest.mark.parametrize("kind", ["glue-tree", "in-class-split", "in-class-bigraph"])
+def test_generate_size_zero_is_the_empty_instance(capsys, kind, seed):
+    assert run_cli(capsys, "--seed", seed, "generate", "--kind", kind, "--size", "0") == (
+        0, f"# kind={kind} size=0 seed={seed}\n0 0\n", "")

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import sperner
 from sperner.cli import main
-from sperner.generators import random_split_h_free
-from sperner.textio import write_graph
+from sperner.generators import random_one_sperner, random_split_h_free
+from sperner.textio import write_graph, write_hypergraph
 
 PACKAGE = Path(sperner.__file__).parent
 
@@ -25,14 +25,35 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_cwd_and_dominate_under_optimize_flag(tmp_path, capsys):
-    path = tmp_path / "g.graph"
-    path.write_text(write_graph(random_split_h_free(12, random.Random(5)).g))
+def _optimized_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(PACKAGE.parent)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_cwd_and_dominate_under_optimize_flag(tmp_path, capsys):
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph(random_split_h_free(12, random.Random(5)).g))
+    env = _optimized_env()
     for argv in (["cwd", "--kind", "split-H", str(path)], ["dominate", str(path)]):
         proc = subprocess.run([sys.executable, "-O", "-m", "sperner.cli", *argv],
                               capture_output=True, text=True, env=env, timeout=120)
         assert main(argv) == 0
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
+
+
+def test_hyp_check_under_optimize_flag(tmp_path, capsys):
+    path_threshold = tmp_path / "t.hyp"
+    path_threshold.write_text(write_hypergraph(random_one_sperner(9, random.Random(5))))
+    path_p4 = tmp_path / "p4.hyp"
+    path_p4.write_text("4 3\n2 0 1\n2 1 2\n2 2 3\n")
+    env = _optimized_env()
+    for path, want_code in ((path_threshold, 0), (path_p4, 1)):
+        argv = ["hyp-check", str(path)]
+        proc = subprocess.run([sys.executable, "-O", "-m", "sperner.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        code = main(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, capsys.readouterr().out, "")
+        assert code == want_code
