@@ -26,7 +26,7 @@ def mask_of(positions: Iterable[int]) -> int:
 
 
 def popcount(mask: int) -> int:
-    return bin(mask).count("1")
+    return mask.bit_count()
 
 
 def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:

@@ -89,14 +89,21 @@ def cmd_decompose(args) -> int:
     return 0
 
 
-def _hyper_tree_text(tree, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(tree, HLeaf):
-        edges = "{}" if not tree.base.edge_masks else "{{}}"
-        return f"{pad}leaf edges={edges}"
-    return (f"{pad}z={tree.z}\n"
-            + _hyper_tree_text(tree.left, indent + 1) + "\n"
-            + _hyper_tree_text(tree.right, indent + 1))
+def _hyper_tree_text(tree) -> str:
+    """One line per node in preorder, indented two spaces per level."""
+    lines = []
+    stack = [(tree, 0)]
+    while stack:
+        t, depth = stack.pop()
+        pad = "  " * depth
+        if isinstance(t, HLeaf):
+            edges = "{}" if not t.base.edge_masks else "{{}}"
+            lines.append(f"{pad}leaf edges={edges}")
+        else:
+            lines.append(f"{pad}z={t.z}")
+            stack.append((t.right, depth + 1))
+            stack.append((t.left, depth + 1))
+    return "\n".join(lines)
 
 
 def cmd_cwd(args) -> int:

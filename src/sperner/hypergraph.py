@@ -13,7 +13,14 @@ The central structural facts implemented here:
   the hypergraph with hyperedges {z} + e (e in H1) and V(H1) + e (e in H2);
 * every 1-Sperner hypergraph with at least one vertex is a gluing of two
   1-Sperner hypergraphs, which yields a recursive decomposition tree whose
-  recomposition reproduces the input bit-exactly.
+  recomposition reproduces the input bit-exactly;
+* a hypergraph is the gluing of two hypergraphs at z iff U_z is a subset
+  of I_z, where U_z is the union of e \\ {z} over the hyperedges e that
+  contain z and I_z the intersection of the hyperedges that avoid z (all
+  vertices if none does). The gluing condition asks e \\ {z} to be a
+  subset of f for every such pair (e, f); over all pairs together that
+  says U_z is a subset of I_z. So one candidate z costs O(m) word operations,
+  and the constituents are read off U_z as masks.
 
 Transversal (minimal hitting set) machinery and conformality testing live
 here as well; both are exact and meant for desk-scale inputs.
@@ -148,7 +155,7 @@ def _min_difference_outside(ms, lo: int, hi: int) -> Optional[tuple[int, int]]:
     min(|a\\b|, |b\\a|) lies outside [lo, hi], or None."""
     for i, a in enumerate(ms):
         for b in ms[i + 1:]:
-            if not lo <= min(popcount(a & ~b), popcount(b & ~a)) <= hi:
+            if not lo <= min((a & ~b).bit_count(), (b & ~a).bit_count()) <= hi:
                 return a, b
     return None
 
@@ -185,6 +192,33 @@ def is_one_sperner(h: Hypergraph) -> bool:
 # Gluing and decomposition
 # ---------------------------------------------------------------------------
 
+def _glue_masks(e1, e2, v1: int, zb: int) -> list[int]:
+    """Hyperedge masks of a gluing at the vertex bit ``zb``: {z} + e for e
+    in ``e1`` and V1 + f for f in ``e2``, where ``v1`` is the mask of V1."""
+    return [zb | e for e in e1] + [v1 | f for f in e2]
+
+
+def _split_masks(masks, zb: int) -> Optional[tuple[int, list[int], list[int]]]:
+    """Invert a gluing at the vertex bit ``zb``, on hyperedge masks.
+
+    Returns (U_z, E1, E2): E1 holds e \\ {z} for the hyperedges e that
+    contain z, and E2 holds f \\ U_z for the others. Returns None when the
+    masks are not z-decomposable, that is when U_z is not a subset of I_z
+    (see the module docstring); the test is one pass over the masks.
+    """
+    u = 0
+    i = -1
+    for e in masks:
+        if e & zb:
+            u |= e
+        else:
+            i &= e
+    u &= ~zb
+    if u & ~i:
+        return None
+    return u, [e ^ zb for e in masks if e & zb], [f & ~u for f in masks if not f & zb]
+
+
 def glue(h1: Hypergraph, h2: Hypergraph, z: int) -> Hypergraph:
     """Gluing of two vertex-disjoint hypergraphs at a fresh vertex z.
 
@@ -199,9 +233,17 @@ def glue(h1: Hypergraph, h2: Hypergraph, z: int) -> Hypergraph:
         raise HypergraphError(f"vertex sets overlap: {sorted(v1 & v2)}")
     if z in v1 or z in v2:
         raise HypergraphError(f"gluing vertex {z} already present")
-    edges = [{z} | set(e) for e in h1.edges]
-    edges += [v1 | set(e) for e in h2.edges]
-    return Hypergraph(v1 | v2 | {z}, edges)
+    if z < 0:
+        raise HypergraphError("vertex ids must be non-negative")
+    vs = sorted(v1 | v2 | {z})
+    pos = {v: i for i, v in enumerate(vs)}
+
+    def lift(h: Hypergraph) -> list[int]:
+        bit = [1 << pos[v] for v in h.vertices]
+        return [sum(bit[i] for i in bits(m)) for m in h.edge_masks]
+
+    v1mask = sum(1 << pos[v] for v in v1)
+    return Hypergraph.from_masks(vs, _glue_masks(lift(h1), lift(h2), v1mask, 1 << pos[z]))
 
 
 def is_z_decomposable(h: Hypergraph, z: int) -> bool:
@@ -209,15 +251,7 @@ def is_z_decomposable(h: Hypergraph, z: int) -> bool:
 
     Equivalently h is the gluing of two hypergraphs at z.
     """
-    zp = 1 << h.position(z)
-    withz = [m for m in h.edge_masks if m & zp]
-    without = [m for m in h.edge_masks if not m & zp]
-    for a in withz:
-        rest = a ^ zp
-        for b in without:
-            if rest & ~b:
-                return False
-    return True
+    return _split_masks(h.edge_masks, 1 << h.position(z)) is not None
 
 
 def split_at(h: Hypergraph, z: int) -> tuple[Hypergraph, Hypergraph]:
@@ -227,18 +261,14 @@ def split_at(h: Hypergraph, z: int) -> tuple[Hypergraph, Hypergraph]:
     the remaining vertices. (A hypergraph can decompose at z in more than
     one way when no hyperedge avoids z; this choice is the canonical one.)
     """
-    if not is_z_decomposable(h, z):
+    zb = 1 << h.position(z)
+    split = _split_masks(h.edge_masks, zb)
+    if split is None:
         raise HypergraphError(f"not z-decomposable at vertex {z}")
-    zp = 1 << h.position(z)
-    v1mask = 0
-    for m in h.edge_masks:
-        if m & zp:
-            v1mask |= m ^ zp
-    v1 = frozenset(h.vertices[i] for i in bits(v1mask))
-    v2 = frozenset(h.vertices) - v1 - {z}
-    e1 = [h.edge_set(m ^ zp) for m in h.edge_masks if m & zp]
-    e2 = [h.edge_set(m) - v1 for m in h.edge_masks if not m & zp]
-    return Hypergraph(v1, e1), Hypergraph(v2, e2)
+    u, e1, e2 = split
+    v2 = ((1 << h.n) - 1) & ~u & ~zb
+    return (Hypergraph(h.edge_set(u), map(h.edge_set, e1)),
+            Hypergraph(h.edge_set(v2), map(h.edge_set, e2)))
 
 
 @dataclass(frozen=True)
@@ -261,35 +291,93 @@ class HNode:
 
 DecompositionTree = Union[HLeaf, HNode]
 
+# the two possible leaves, without and with the empty hyperedge
+_LEAVES = (HLeaf(Hypergraph([], [])), HLeaf(Hypergraph([], [set()])))
+
 
 def decompose(h: Hypergraph) -> DecompositionTree:
-    """Recursive gluing decomposition of a 1-Sperner hypergraph.
+    """Gluing decomposition of a 1-Sperner hypergraph.
 
-    At every step the lexicographically smallest vertex z at which the
-    hypergraph is z-decomposable is used; such a vertex exists for every
-    nonempty 1-Sperner hypergraph, and both constituents are again
-    1-Sperner. Raises NotOneSpernerError (with a witness pair) otherwise.
+    At every step the smallest vertex id z at which the hypergraph is
+    z-decomposable is used; such a vertex exists for every nonempty
+    1-Sperner hypergraph, and both constituents are again 1-Sperner.
+    Raises NotOneSpernerError (with a witness pair) otherwise.
+
+    Every level works on masks over the input's positions: a level is a
+    vertex mask V and its hyperedge masks, and its constituents at z are
+    (U_z, {e \\ {z}}) and (V \\ U_z \\ {z}, {f \\ U_z}). Theorem: z is
+    a gluing vertex iff U_z is a subset of I_z (module docstring), a test
+    that depends only on the level's sets. Positions follow the sorted
+    ids, so the lowest bit of V that passes the test is the smallest-id
+    gluing vertex of the level, the vertex the definition picks. An
+    explicit stack replaces recursion, so depth is limited by memory only.
     """
     bad = one_sperner_violation(h)
     if bad is not None:
         raise NotOneSpernerError(*bad)
-    return _decompose_checked(h)
+    ids = h.vertices
+    order: list = []                # preorder: node ids and leaves
+    todo = [((1 << h.n) - 1, h.edge_masks)]
+    while todo:
+        vm, masks = todo.pop()
+        if not vm:
+            order.append(_LEAVES[bool(masks)])
+            continue
+        rest = vm
+        while rest:
+            zb = rest & -rest
+            split = _split_masks(masks, zb)
+            if split is not None:
+                break
+            rest ^= zb
+        else:
+            raise HypergraphError("no gluing vertex found in a 1-Sperner hypergraph")
+        u, e1, e2 = split
+        order.append(ids[zb.bit_length() - 1])
+        todo.append((vm & ~u & ~zb, e2))
+        todo.append((u, e1))
+    return _fold_preorder(order, lambda leaf: leaf, HNode)
 
 
-def _decompose_checked(h: Hypergraph) -> DecompositionTree:
-    if h.n == 0:
-        return HLeaf(h)
-    for z in h.vertices:
-        if is_z_decomposable(h, z):
-            h1, h2 = split_at(h, z)
-            return HNode(z, _decompose_checked(h1), _decompose_checked(h2))
-    raise HypergraphError("no gluing vertex found in a 1-Sperner hypergraph")
+def _fold_preorder(order: list, leaf, node):
+    """Fold a tree given in preorder bottom-up, without recursion:
+    ``leaf(x)`` for each HLeaf x and ``node(x, left, right)`` for the other
+    items. Reversed preorder meets both subtrees of an item before the
+    item, the left one last."""
+    built: list = []
+    for x in reversed(order):
+        if isinstance(x, HLeaf):
+            built.append(leaf(x))
+        else:
+            left = built.pop()
+            built.append(node(x, left, built.pop()))
+    return built[0]
 
 
 def recompose(tree: DecompositionTree) -> Hypergraph:
-    if isinstance(tree, HLeaf):
-        return tree.base
-    return glue(recompose(tree.left), recompose(tree.right), tree.z)
+    """The hypergraph a decomposition tree glues together.
+
+    Leaves have no vertices, so the vertex set is the set of the nodes'
+    z; a z that occurs twice raises HypergraphError. Gluing runs in
+    postorder on masks over the sorted z's, without recursion.
+    """
+    order = []                      # preorder
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        order.append(t)
+        if isinstance(t, HNode):
+            stack.append(t.right)
+            stack.append(t.left)
+    frame = Hypergraph(t.z for t in order if isinstance(t, HNode))
+
+    def node(t: HNode, left, right):
+        (v1, e1), (v2, e2) = left, right
+        zb = 1 << frame.position(t.z)
+        return v1 | v2 | zb, _glue_masks(e1, e2, v1, zb)
+
+    _, masks = _fold_preorder(order, lambda leaf: (0, leaf.base.edge_masks), node)
+    return Hypergraph.from_masks(frame.vertices, masks)
 
 
 # ---------------------------------------------------------------------------

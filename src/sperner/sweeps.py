@@ -189,7 +189,7 @@ def dual_family_bitmap(fam: int) -> int:
 
     Word-parallel: upward closure by six shift-or steps, transversal test
     by reversing the complement (the complement of a transversal is
-    independent), minимality by six shift-and steps. Exact, and an
+    independent), minimality by six shift-and steps. Exact, and an
     independent formulation of the sequential-extension transversal.
     """
     dep = fam

@@ -57,10 +57,10 @@ def _header(text: str, item: str) -> tuple[int, list]:
 
 def read_hypergraph(text: str) -> Hypergraph:
     n, lines = _header(text, "hyperedge")
-    edges = []
+    masks = []
     for ln, toks in lines[1:]:
         try:
-            vals = [int(t) for t in toks]
+            vals = list(map(int, toks))
         except ValueError:
             raise ParseError("hyperedge line must contain integers", ln) from None
         if not vals:
@@ -70,13 +70,15 @@ def read_hypergraph(text: str) -> Hypergraph:
             raise ParseError(f"declared size {k} but {len(vs)} vertices follow", ln)
         if len(set(vs)) != len(vs):
             raise ParseError("repeated vertex inside a hyperedge", ln)
+        m = 0
         for v in vs:
             if not 0 <= v < n:
                 raise ParseError(f"vertex {v} out of range 0..{n - 1}", ln)
-        edges.append(set(vs))
-    if len({frozenset(e) for e in edges}) != len(edges):
+            m |= 1 << v
+        masks.append(m)
+    if len(set(masks)) != len(masks):
         raise ParseError("duplicate hyperedges", lines[0][0])
-    return Hypergraph(range(n), edges)
+    return Hypergraph.from_masks(range(n), masks)
 
 
 def write_hypergraph(h: Hypergraph) -> str:

@@ -181,3 +181,11 @@ def brute_find_induced(g: Graph, pat: Graph):
         if ok:
             return image
     return None
+
+
+def brute_gluing_vertices(h: Hypergraph):
+    """Vertex ids z at which h is a gluing, from the definition on
+    frozensets: every e containing z and f avoiding z have e \\ f = {z}."""
+    es = h.edges
+    return [z for z in h.vertices
+            if all(e - f == {z} for e in es if z in e for f in es if z not in f)]
