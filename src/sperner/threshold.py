@@ -6,12 +6,16 @@ threshold t exist with w(X) >= t exactly for the dependent X. It is
 k-asummable when no k independent sets and k dependent sets have equal
 characteristic-vector sums.
 
-Thresholdness is decided by exact rational linear feasibility over the
-inclusion-minimal hyperedges and the maximal independent sets; strict
-inequalities are normalized to a gap of one, which is valid because any
-separating pair (w, t) can be scaled. Returned witnesses are re-verified:
-always against the two defining families, and additionally against all 2^n
-subsets for n <= 20.
+Thresholdness is decided in two steps. A polynomial regularity pre-test
+comes first: every threshold hypergraph is 2-asummable, hence regular
+(any two vertices are comparable, see ``threshold_witness``), so an
+incomparable vertex pair refutes thresholdness with a verified
+2-summability witness and no LP. Regular inputs go on to exact rational
+linear feasibility over the inclusion-minimal hyperedges and the maximal
+independent sets; strict inequalities are normalized to a gap of one,
+which is valid because any separating pair (w, t) can be scaled. Returned
+witnesses are re-verified: always against the two defining families, and
+additionally against all 2^n subsets for n <= 20.
 
 The 2-asummability test walks sum-vector profiles instead of pairs of
 sets: a violating quadruple exists iff there are disjoint masks (I, d)
@@ -265,16 +269,19 @@ class ThresholdWitness:
         for s in maximal_independent_masks(h):
             if sum(wint[i] for i in bits(s)) >= tint:
                 return False
-        if n <= exhaustive_limit:
-            wsum = [0] * (1 << n)
-            for mask in range(1, 1 << n):
-                low = mask & -mask
-                wsum[mask] = wsum[mask ^ low] + wint[low.bit_length() - 1]
-            dep = dependence_table(h)
-            for mask in range(1 << n):
-                if (wsum[mask] >= tint) != bool(dep[mask]):
-                    return False
-        return True
+        return n > exhaustive_limit or _separates_all_subsets(h, wint, tint)
+
+
+def _separates_all_subsets(h: Hypergraph, wint: list[int], tint: int) -> bool:
+    """w(X) >= t exactly on the dependent X, over all 2^n subsets.
+
+    The subset sums are built by doubling, so that sums[mask] = w(mask),
+    and compared with ``dependence_table`` as one byte string.
+    """
+    sums = [0]
+    for w in wint:
+        sums += [x + w for x in sums]
+    return bytes(map(tint.__le__, sums)) == dependence_table(h)
 
 
 def _integer_scaled(weights: tuple[Fraction, ...], t: Fraction) -> tuple[list[int], int]:
@@ -289,14 +296,72 @@ def threshold_witness(h: Hypergraph) -> Optional[ThresholdWitness]:
     Degenerate conventions: with the empty hyperedge every set is
     dependent (w = 0, t = 0); with no hyperedges every set is independent
     (w = 0, t = 1).
+
+    Regularity pre-test. Vertex i dominates j (i >= j) when X + j
+    dependent implies X + i dependent for every X avoiding i and j. A
+    threshold hypergraph is regular: any two vertices are comparable. For
+    if i fails to dominate j through X and j fails to dominate i through
+    Y, the dependent {X + j, Y + i} and the independent {X + i, Y + j}
+    have equal characteristic sums, so h is not 2-asummable, and a
+    threshold (w, t) would weigh those sums at least 2t and below 2t.
+    ``_incomparable_pair`` looks for such a pair in polynomial time and
+    returns that witness; only regular inputs reach the LP.
     """
     n = h.n
     if 0 in h.edge_masks:
         return ThresholdWitness(tuple([Fraction(0)] * n), Fraction(0))
     if not h.edge_masks:
         return ThresholdWitness(tuple([Fraction(0)] * n), Fraction(1))
+    minimal = minimal_masks(h.edge_masks)
+    pair = _incomparable_pair(h, minimal)
+    if pair is not None:
+        if not pair.verify(h):
+            raise ThresholdError("incomparable-pair witness failed its own verification")
+        return None
+    return _lp_threshold_witness(h, minimal)
+
+
+def _incomparable_pair(h: Hypergraph, minimal: tuple[int, ...]) -> Optional[AsummabilityWitness]:
+    """The 2-summability witness of a pair of incomparable vertices, or
+    None when h is regular.
+
+    On the minimal hyperedges: i fails to dominate j iff some minimal e
+    has j in e, i not in e, and e - j + i independent (take X = e - j; a
+    dependent X + j contains such an e). A minimal f inside e - j + i
+    must contain i, since the minimal hyperedges form an antichain, so
+    the test is whether some f - i lies inside e - j. O(n^2 m^2) at worst.
+    """
+    links = [[e ^ (1 << v) for e in minimal if e >> v & 1] for v in range(h.n)]
+
+    def undominated(i: int, j: int) -> Optional[int]:
+        """e - j for a minimal e that shows i fails to dominate j, or None."""
+        bi = 1 << i
+        for a in links[j]:
+            if not a & bi and not any(b | a == a for b in links[i]):
+                return a
+        return None
+
+    for i in range(h.n):
+        for j in range(i + 1, h.n):
+            a = undominated(i, j)
+            if a is None:
+                continue
+            b = undominated(j, i)
+            if b is None:
+                continue
+            bi, bj = 1 << i, 1 << j
+            return AsummabilityWitness((h.edge_set(a | bi), h.edge_set(b | bj)),
+                                       (h.edge_set(a | bj), h.edge_set(b | bi)))
+    return None
+
+
+def _lp_threshold_witness(h: Hypergraph, minimal: tuple[int, ...]) -> Optional[ThresholdWitness]:
+    """The LP half of ``threshold_witness``: a verified (w, t) from exact
+    feasibility over the minimal hyperedges and the maximal independent
+    sets, or None when that system is infeasible."""
+    n = h.n
     rows: list[tuple[list[int], int]] = []
-    for e in minimal_masks(h.edge_masks):
+    for e in minimal:
         coeff = [1 if e >> v & 1 else 0 for v in range(n)] + [-1]
         rows.append((coeff, 0))
     for s in maximal_independent_masks(h):

@@ -3,8 +3,9 @@
 Everything here is written directly from definitions by exhaustive
 enumeration, deliberately sharing no code with the library paths it
 checks: transversals by scanning all subsets, conformality by scanning all
-vertex sets, 2-asummability by enumerating set pairs, thresholdness by
-enumerating small integer weight vectors, domination by subset scan, and
+vertex sets, 2-asummability by enumerating set pairs, regularity by
+scanning every set for every vertex pair, thresholdness by enumerating
+small integer weight vectors, domination by subset scan, and
 induced-subgraph containment by trying all injections.
 """
 
@@ -75,6 +76,22 @@ def brute_two_summable_pair(h: Hypergraph):
 
 def brute_is_two_asummable(h: Hypergraph) -> bool:
     return brute_two_summable_pair(h) is None
+
+
+def brute_is_regular(h: Hypergraph) -> bool:
+    """Every two vertices i, j are comparable: X + j dependent implies
+    X + i dependent for all X avoiding both, or the same with i and j
+    swapped."""
+    n = h.n
+    deps = set(dependent_masks(h))
+    for i, j in itertools.combinations(range(n), 2):
+        bi, bj = 1 << i, 1 << j
+        rest = [x for x in range(1 << n) if not x & (bi | bj)]
+        i_dominates = all(x | bi in deps for x in rest if x | bj in deps)
+        j_dominates = all(x | bj in deps for x in rest if x | bi in deps)
+        if not (i_dominates or j_dominates):
+            return False
+    return True
 
 
 def brute_is_threshold(h: Hypergraph, max_weight: int = 8) -> bool:

@@ -1,6 +1,7 @@
 """In-class ``dominate`` and ``cwd`` runs decide H- and co-H-freeness with
-the pair tests alone, and ``ThresholdWitness.verify`` builds no 2^n table
-above its exhaustive cap."""
+the pair tests alone, ``hyp-check`` refutes irregular inputs without the
+LP, and ``ThresholdWitness.verify`` builds no 2^n table above its
+exhaustive cap."""
 
 import json
 import random
@@ -12,12 +13,13 @@ import pytest
 
 import sperner.cli as cli
 import sperner.graphs as graphs
+import sperner.threshold as threshold
 from sperner.domination import brute_force, is_dominating
 from sperner.generators import (random_one_sperner, random_split_h_free,
                                 random_split_hbar_free)
 from sperner.graphs import edge_clique_split_of, pattern, vertex_clique_split_of
 from sperner.hypergraph import Hypergraph
-from sperner.textio import write_graph
+from sperner.textio import write_graph, write_hypergraph
 from sperner.threshold import ThresholdWitness, threshold_witness
 
 
@@ -146,3 +148,77 @@ def test_verify_family_check_agrees_with_the_exhaustive_check():
         for t in (tw.threshold, tw.threshold + 1, tw.threshold / 2):
             wit = ThresholdWitness(tw.weights, t)
             assert wit.verify(h, exhaustive_limit=0) == wit.verify(h), (h, t)
+
+
+def _separates_mask_by_mask(h, wint, tint):
+    """w(X) >= t exactly on the dependent X, one subset at a time."""
+    for x in range(1 << h.n):
+        weight = sum(w for i, w in enumerate(wint) if x >> i & 1)
+        if (weight >= tint) != any(e & x == e for e in h.edge_masks):
+            return False
+    return True
+
+
+def test_exhaustive_check_matches_the_per_mask_rule():
+    rng = random.Random(12)
+    separating = 0
+    for n in range(1, 13):
+        for k in range(6):
+            if k % 2:
+                # a threshold input and its own scaled certificate
+                h = random_one_sperner(n, rng)
+                tw = threshold_witness(h)
+                wint, tint = threshold._integer_scaled(tw.weights, tw.threshold)
+            else:
+                masks = [rng.randrange(1 << n) for _ in range(rng.randint(0, 5))]
+                h = Hypergraph.from_masks(range(n), masks)
+                wint = [rng.randint(0, 5) for _ in range(n)]
+                tint = rng.randint(0, 3 * n)
+            for t in (tint, tint + 1, max(tint - 1, 0)):
+                expected = _separates_mask_by_mask(h, wint, t)
+                assert threshold._separates_all_subsets(h, wint, t) == expected, (h, wint, t)
+                separating += expected
+    assert separating >= 36
+
+
+class LPCalled(Exception):
+    pass
+
+
+def _planted_pairs(n, m, rng):
+    """{a,b} and {c,d} plus hyperedges of three or more vertices that are
+    incomparable with every hyperedge so far, so {a,c} and {b,d} stay
+    independent (the benchmark's planted non-threshold family)."""
+    a, b, c, d = rng.sample(range(n), 4)
+    masks = [1 << a | 1 << b, 1 << c | 1 << d]
+    for _ in range(50 * m):
+        if len(masks) >= m:
+            break
+        e = sum(1 << v for v in rng.sample(range(n), rng.randint(3, n // 2)))
+        if not any(f & e in (e, f) for f in masks):
+            masks.append(e)
+    return Hypergraph.from_masks(range(n), masks)
+
+
+def test_hyp_check_refutes_irregular_inputs_without_the_lp(tmp_path, capsys, monkeypatch):
+    rng = random.Random(14)
+    hs = [_planted_pairs(14, 21, rng) for _ in range(4)]
+    hs += [Hypergraph(range(n), [{i, i + 1} for i in range(n - 1)]) for n in range(5, 21)]
+    paths = []
+    for i, h in enumerate(hs):
+        path = tmp_path / f"h{i}.hyp"
+        path.write_text(write_hypergraph(h))
+        paths.append(str(path))
+    expected = [run_cli(capsys, "hyp-check", p) for p in paths]
+    assert all(code == 1 and "threshold: false" in out for code, out, _ in expected)
+
+    def refuse(*args, **kwargs):
+        raise LPCalled("the LP ran on an irregular input")
+    monkeypatch.setattr(threshold, "solve_nonnegative_feasibility", refuse)
+    monkeypatch.setattr(threshold, "maximal_independent_masks", refuse)
+    assert [run_cli(capsys, "hyp-check", p) for p in paths] == expected
+    # P_21 is refuted without the LP too, and still meets the search's cap
+    path = tmp_path / "p21.hyp"
+    path.write_text(write_hypergraph(Hypergraph(range(21), [{i, i + 1} for i in range(20)])))
+    assert run_cli(capsys, "hyp-check", str(path)) == (
+        2, "", "error: asummability testing capped at 20 vertices\n")
