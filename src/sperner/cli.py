@@ -10,6 +10,7 @@ Every randomized command embeds its seed in the output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -236,14 +237,23 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on its first call; parsing leaves an
+    ``ArgumentParser`` unchanged, so one serves every call in a process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    # the command is looked up now, not taken from the parser's defaults,
+    # so a cmd_* rebound on this module after the parser was built runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (textio.ParseError, ExpressionError, HypergraphError, GraphError,
             DecompositionError, DominationError, ThresholdError,
             FileNotFoundError) as exc:

@@ -20,9 +20,11 @@ literal, and vertex literal, and stays at most 60 per vertex.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from .bitset import bits
 from .decomposition import (DecompLeaf, GraphDecompositionTree,
                             decompose_bigraph_2p3_free, decompose_cobigraph,
                             decompose_split_h_free, decompose_split_hbar_free,
@@ -82,23 +84,41 @@ class AddEdges:
 KExpression = Union[Leaf, Union_, Relabel, AddEdges]
 
 
+def postorder(e: KExpression) -> list:
+    """The nodes of ``e``, children before their parent and left before
+    right. Every walker of the module runs over this list: expressions of
+    deep decompositions are far deeper than the recursion limit."""
+    order = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        t = type(x)
+        if t is Union_:
+            stack.append(x.left)
+            stack.append(x.right)
+        elif t is not Leaf:
+            stack.append(x.sub)
+    order.reverse()
+    return order
+
+
 def max_label(e: KExpression) -> int:
-    if isinstance(e, Leaf):
-        return e.label
-    if isinstance(e, Union_):
-        return max(max_label(e.left), max_label(e.right))
-    if isinstance(e, Relabel):
-        return max(e.src, e.dst, max_label(e.sub))
-    return max(e.i, e.j, max_label(e.sub))
+    best = 0
+    for x in postorder(e):
+        t = type(x)
+        if t is Leaf:
+            best = max(best, x.label)
+        elif t is Relabel:
+            best = max(best, x.src, x.dst)
+        elif t is AddEdges:
+            best = max(best, x.i, x.j)
+    return best
 
 
 def expression_length(e: KExpression) -> int:
     """Token count: every operator name, label literal, and vertex literal is one."""
-    if isinstance(e, Leaf):
-        return 3
-    if isinstance(e, Union_):
-        return 1 + expression_length(e.left) + expression_length(e.right)
-    return 3 + expression_length(e.sub)
+    return sum(1 if type(x) is Union_ else 3 for x in postorder(e))
 
 
 # ---------------------------------------------------------------------------
@@ -128,33 +148,62 @@ def evaluate(e: KExpression, k: Optional[int] = None) -> LabeledGraphValue:
         if bad:
             raise ExpressionError(f"label out of range 1..{k} on vertices {bad}")
     vs = tuple(sorted(labels, key=lambda v: (isinstance(v, str), v)))
-    return LabeledGraphValue(vs, labels, frozenset(edges))
+    return LabeledGraphValue(vs, labels, edges)
 
 
-def _eval(e: KExpression) -> tuple[dict, set]:
-    if isinstance(e, Leaf):
-        return {e.vertex: e.label}, set()
-    if isinstance(e, Union_):
-        l1, s1 = _eval(e.left)
-        l2, s2 = _eval(e.right)
-        dup = set(l1) & set(l2)
-        if dup:
-            raise ExpressionError(f"duplicate vertex ids across union: {sorted(map(str, dup))}")
-        l1.update(l2)
-        return l1, s1 | s2
-    if isinstance(e, Relabel):
-        labels, edges = _eval(e.sub)
-        for v, l in labels.items():
-            if l == e.src:
-                labels[v] = e.dst
-        return labels, edges
-    labels, edges = _eval(e.sub)
-    side_i = [v for v, l in labels.items() if l == e.i]
-    side_j = [v for v, l in labels.items() if l == e.j]
-    for u in side_i:
-        for v in side_j:
-            edges.add(frozenset((u, v)))
-    return labels, edges
+def _eval(e: KExpression) -> tuple[dict, frozenset]:
+    """Labels in leaf order and the edge set of ``e``.
+
+    Leaves are numbered left to right, so every subtree holds a contiguous
+    range of positions. A pending subtree is (first position, label ->
+    position mask); add-edges ORs one label's mask into the adjacency mask
+    of each position of the other label.
+    """
+    ids = []
+    adj = []
+    splits = []     # (first, middle, end) position of every union, in postorder
+    pending = []
+    for x in postorder(e):
+        t = type(x)
+        if t is Leaf:
+            pending.append((len(ids), {x.label: 1 << len(ids)}))
+            ids.append(x.vertex)
+            adj.append(0)
+        elif t is Union_:
+            middle, right = pending.pop()
+            first, left = pending[-1]
+            splits.append((first, middle, len(ids)))
+            for label, m in right.items():
+                left[label] = left.get(label, 0) | m
+        elif t is Relabel:
+            classes = pending[-1][1]
+            m = classes.pop(x.src, 0)
+            if m:
+                classes[x.dst] = classes.get(x.dst, 0) | m
+        else:
+            classes = pending[-1][1]
+            mi = classes.get(x.i, 0)
+            mj = classes.get(x.j, 0)
+            if mi and mj:
+                for p in bits(mi):
+                    adj[p] |= mj
+                for p in bits(mj):
+                    adj[p] |= mi
+    n = len(ids)
+    if len(set(ids)) != n:
+        for first, middle, end in splits:
+            dup = set(ids[first:middle]) & set(ids[middle:end])
+            if dup:
+                raise ExpressionError(
+                    f"duplicate vertex ids across union: {sorted(map(str, dup))}")
+    label_at = [0] * n
+    for label, m in pending[0][1].items():
+        for p in bits(m):
+            label_at[p] = label
+    # -(2 << p) keeps the bits above p: each edge once, from its lower end
+    edges = frozenset(frozenset((ids[p], ids[q]))
+                      for p in range(n) for q in bits(adj[p] & -(2 << p)))
+    return dict(zip(ids, label_at)), edges
 
 
 # ---------------------------------------------------------------------------
@@ -162,13 +211,25 @@ def _eval(e: KExpression) -> tuple[dict, set]:
 # ---------------------------------------------------------------------------
 
 def format_expression(e: KExpression) -> str:
-    if isinstance(e, Leaf):
-        return f"(leaf {e.label} {_fmt_vertex(e.vertex)})"
-    if isinstance(e, Union_):
-        return f"(union {format_expression(e.left)} {format_expression(e.right)})"
-    if isinstance(e, Relabel):
-        return f"(rel {e.src} {e.dst} {format_expression(e.sub)})"
-    return f"(adde {e.i} {e.j} {format_expression(e.sub)})"
+    out = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        t = type(x)
+        if t is str:
+            out.append(x)
+        elif t is Leaf:
+            out.append(f"(leaf {x.label} {_fmt_vertex(x.vertex)})")
+        elif t is Union_:
+            out.append("(union ")
+            stack += (")", x.right, " ", x.left)
+        elif t is Relabel:
+            out.append(f"(rel {x.src} {x.dst} ")
+            stack += (")", x.sub)
+        else:
+            out.append(f"(adde {x.i} {x.j} ")
+            stack += (")", x.sub)
+    return "".join(out)
 
 
 def _fmt_vertex(v: VertexId) -> str:
@@ -182,31 +243,33 @@ class ExpressionParseError(ExpressionError):
         self.column = column
 
 
-def _tokenize(text: str):
-    line, col = 1, 1
-    i = 0
-    out = []
-    while i < len(text):
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c.isspace():
-            col += 1
-            i += 1
-        elif c in "()":
-            out.append((c, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            out.append((text[i:j], line, col))
-            col += j - i
-            i = j
-    return out
+# a parenthesis, or a maximal run of characters that are neither
+# parentheses nor whitespace (``\s`` is exactly ``str.isspace``)
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+# operator -> (node class, what each of its integer fields holds)
+_OPERATORS = {"leaf": (Leaf, ("a label",)),
+              "union": (Union_, ()),
+              "rel": (Relabel, ("a source label", "a target label")),
+              "adde": (AddEdges, ("a label", "a label"))}
+
+
+def _parse_error(text: str, index: int, message: str) -> ExpressionParseError:
+    """The error at token ``index`` (line 1, column 1 for -1, no tokens);
+    columns count characters from the last newline."""
+    if index < 0:
+        return ExpressionParseError(message, 1, 1)
+    off = [m.start() for m in _TOKEN.finditer(text)][index]
+    return ExpressionParseError(message, text.count("\n", 0, off) + 1,
+                                off - text.rfind("\n", 0, off))
+
+
+def _vertex_id(s: str) -> VertexId:
+    if s.isdigit() or (s.startswith("-") and s[1:].isdigit()):
+        return int(s)
+    if s.startswith("v") and s[1:].isdigit():
+        return int(s[1:])
+    return s
 
 
 def parse_expression(text: str) -> KExpression:
@@ -214,104 +277,83 @@ def parse_expression(text: str) -> KExpression:
         expr := "(leaf" INT IDENT ")" | "(union" expr expr ")"
               | "(rel" INT INT expr ")" | "(adde" INT INT expr ")"
     Vertex idents of the form v<digits> (or bare digits) become integer ids.
+
+    One left-to-right pass over the tokens with a stack of open operators;
+    errors name the line and column of the token where the input stops
+    matching the grammar, and a node's label check reports at its operator.
     """
-    toks = _tokenize(text)
-    pos = 0
+    toks = _TOKEN.findall(text)
+    end = len(toks)
 
-    def peek():
-        if pos >= len(toks):
-            last = toks[-1] if toks else ("", 1, 1)
-            raise ExpressionParseError("unexpected end of input", last[1], last[2])
-        return toks[pos]
+    def take(i: int) -> str:
+        if i >= end:
+            raise _parse_error(text, end - 1, "unexpected end of input")
+        return toks[i]
 
-    def take():
-        nonlocal pos
-        t = peek()
-        pos += 1
-        return t
-
-    def expect(sym):
-        t = take()
-        if t[0] != sym:
-            raise ExpressionParseError(f"expected {sym!r}, found {t[0]!r}", t[1], t[2])
-        return t
-
-    def take_int(what):
-        t = take()
+    def close(i: int, frame: list):
+        """The node of ``frame`` ([head index, class, fields...]), once
+        token ``i`` is its closing parenthesis."""
+        t = take(i)
+        if t != ")":
+            raise _parse_error(text, i, f"expected ')', found {t!r}")
         try:
-            v = int(t[0])
-        except ValueError:
-            raise ExpressionParseError(f"expected {what} (an integer), found {t[0]!r}",
-                                       t[1], t[2]) from None
-        return v, t
-
-    def take_vertex():
-        t = take()
-        s = t[0]
-        if s in ("(", ")"):
-            raise ExpressionParseError("expected a vertex identifier", t[1], t[2])
-        if s.isdigit() or (s.startswith("-") and s[1:].isdigit()):
-            return int(s)
-        if s.startswith("v") and s[1:].isdigit():
-            return int(s[1:])
-        return s
-
-    def expr() -> KExpression:
-        expect("(")
-        head = take()
-        op = head[0]
-        try:
-            if op == "leaf":
-                label, _ = take_int("a label")
-                v = take_vertex()
-                expect(")")
-                return Leaf(label, v)
-            if op == "union":
-                l = expr()
-                r = expr()
-                expect(")")
-                return Union_(l, r)
-            if op == "rel":
-                i, _ = take_int("a source label")
-                j, _ = take_int("a target label")
-                sub = expr()
-                expect(")")
-                return Relabel(i, j, sub)
-            if op == "adde":
-                i, _ = take_int("a label")
-                j, _ = take_int("a label")
-                sub = expr()
-                expect(")")
-                return AddEdges(i, j, sub)
+            return frame[1](*frame[2:])
         except ExpressionError as exc:
-            if isinstance(exc, ExpressionParseError):
-                raise
-            raise ExpressionParseError(str(exc), head[1], head[2]) from None
-        raise ExpressionParseError(f"unknown operator {op!r}", head[1], head[2])
+            raise _parse_error(text, frame[0], str(exc)) from None
 
-    e = expr()
-    if pos != len(toks):
-        t = toks[pos]
-        raise ExpressionParseError(f"trailing input {t[0]!r}", t[1], t[2])
-    _check_distinct_vertices(e)
-    return e
-
-
-def _check_distinct_vertices(e: KExpression):
-    seen = set()
-
-    def walk(x):
-        if isinstance(x, Leaf):
-            if x.vertex in seen:
-                raise ExpressionError(f"duplicate vertex id {x.vertex!r}")
-            seen.add(x.vertex)
-        elif isinstance(x, Union_):
-            walk(x.left)
-            walk(x.right)
+    vertices = []
+    frames = []     # the open operators, outermost first
+    pos = 0
+    while True:
+        t = take(pos)
+        if t != "(":
+            raise _parse_error(text, pos, f"expected '(', found {t!r}")
+        head = pos + 1
+        op = take(head)
+        if op not in _OPERATORS:
+            raise _parse_error(text, head, f"unknown operator {op!r}")
+        cls, int_fields = _OPERATORS[op]
+        frame = [head, cls]
+        pos = head + 1
+        for what in int_fields:
+            t = take(pos)
+            try:
+                frame.append(int(t))
+            except ValueError:
+                raise _parse_error(text, pos, f"expected {what} (an integer), "
+                                              f"found {t!r}") from None
+            pos += 1
+        if cls is not Leaf:
+            frames.append(frame)
+            continue
+        t = take(pos)
+        if t in ("(", ")"):
+            raise _parse_error(text, pos, "expected a vertex identifier")
+        frame.append(_vertex_id(t))
+        vertices.append(frame[3])
+        node = close(pos + 1, frame)
+        pos += 2
+        # hand the finished node to the open operators, closing each one
+        # it completes; a union waits for its second operand
+        while frames:
+            frame = frames[-1]
+            frame.append(node)
+            if frame[1] is Union_ and len(frame) == 3:
+                break
+            frames.pop()
+            node = close(pos, frame)
+            pos += 1
         else:
-            walk(x.sub)
-
-    walk(e)
+            break
+    if pos != end:
+        raise _parse_error(text, pos, f"trailing input {toks[pos]!r}")
+    if len(set(vertices)) != len(vertices):
+        seen = set()
+        for v in vertices:
+            if v in seen:
+                raise ExpressionError(f"duplicate vertex id {v!r}")
+            seen.add(v)
+    return node
 
 
 # ---------------------------------------------------------------------------

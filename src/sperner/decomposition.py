@@ -236,10 +236,14 @@ GraphDecompositionTree = Union[DecompLeaf, DecompNode]
 
 
 def iter_nodes(tree: GraphDecompositionTree) -> Iterator[DecompNode]:
-    if isinstance(tree, DecompNode):
-        yield tree
-        yield from iter_nodes(tree.left)
-        yield from iter_nodes(tree.right)
+    """The inner nodes in preorder."""
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, DecompNode):
+            yield t
+            stack.append(t.right)
+            stack.append(t.left)
 
 
 def tree_vertices(tree: GraphDecompositionTree) -> frozenset:
@@ -249,18 +253,27 @@ def tree_vertices(tree: GraphDecompositionTree) -> frozenset:
 
 
 def tree_to_text(tree: GraphDecompositionTree, indent: int = 0) -> str:
-    """One node per line: z, the four parts, and the matrix tag."""
-    pad = "  " * indent
-    if isinstance(tree, DecompLeaf):
-        if tree.vertex is None:
-            return f"{pad}leaf empty\n"
-        side = "z-side" if tree.on_z_side else "other-side"
-        return f"{pad}leaf v={tree.vertex} ({side})\n"
-    p = tree.partition
-    partstr = ",".join("{" + ",".join(str(v) for v in sorted(s)) + "}"
-                       for s in p.parts[1:])
-    head = f"{pad}z={p.z} | parts: {partstr} | M[{p.a},{p.b}]\n"
-    return head + tree_to_text(tree.left, indent + 1) + tree_to_text(tree.right, indent + 1)
+    """One node per line in preorder, indented two spaces per level: z,
+    the four parts, and the matrix tag."""
+    lines = []
+    stack = [(tree, indent)]
+    while stack:
+        t, depth = stack.pop()
+        pad = "  " * depth
+        if isinstance(t, DecompLeaf):
+            if t.vertex is None:
+                lines.append(f"{pad}leaf empty\n")
+            else:
+                side = "z-side" if t.on_z_side else "other-side"
+                lines.append(f"{pad}leaf v={t.vertex} ({side})\n")
+            continue
+        p = t.partition
+        partstr = ",".join("{" + ",".join(str(v) for v in sorted(s)) + "}"
+                           for s in p.parts[1:])
+        lines.append(f"{pad}z={p.z} | parts: {partstr} | M[{p.a},{p.b}]\n")
+        stack.append((t.right, depth + 1))
+        stack.append((t.left, depth + 1))
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from typing import Callable, Optional
 
 from .bitset import bits, is_connected, mask_of, popcount
 from .cliquewidth import (KExpression, Leaf, Relabel, Union_,
-                          build_from_tree, evaluate, max_label)
+                          build_from_tree, evaluate, max_label, postorder)
 from .decomposition import (decompose_split_h_free, labeled_h_witness,
                             pattern_witness)
 # find_induced is not called here; it stays bound because perfbench's
@@ -153,46 +153,50 @@ def _merge(table: dict, key: tuple, size: int, wit: tuple):
 
 
 def _dp(e: KExpression, k: int, full: int) -> dict:
-    if isinstance(e, Leaf):
-        b = 1 << (e.label - 1)
-        return {
-            (b, full): (1, (e.vertex,)),       # select: the class is dominated
-            (0, full ^ b): (0, ()),            # skip: the class is not
-        }
-    if isinstance(e, Union_):
-        t1 = _dp(e.left, k, full)
-        t2 = _dp(e.right, k, full)
+    """The state table of ``e``, built over ``postorder(e)`` with one
+    table per pending subtree."""
+    tables = []
+    for x in postorder(e):
+        t = type(x)
+        if t is Leaf:
+            b = 1 << (x.label - 1)
+            tables.append({
+                (b, full): (1, (x.vertex,)),       # select: the class is dominated
+                (0, full ^ b): (0, ()),            # skip: the class is not
+            })
+            continue
         out: dict = {}
-        for (s1, d1), (n1, w1) in t1.items():
-            for (s2, d2), (n2, w2) in t2.items():
-                _merge(out, (s1 | s2, d1 & d2), n1 + n2, tuple(sorted(w1 + w2, key=str)))
-        return out
-    if isinstance(e, Relabel):
-        src = 1 << (e.src - 1)
-        dst = 1 << (e.dst - 1)
-        out = {}
-        for (s, d), (n, w) in _dp(e.sub, k, full).items():
-            s2 = ((s | dst) if s & src else s) & ~src
-            # dst merges both classes: dominated iff both were; src becomes
-            # empty, hence dominated
-            if (d & src) and (d & dst):
-                d2 = d | src | dst
-            else:
-                d2 = (d | src) & ~dst
-            _merge(out, (s2, d2), n, w)
-        return out
-    # AddEdges: a selected class dominates the whole other class
-    bi = 1 << (e.i - 1)
-    bj = 1 << (e.j - 1)
-    out = {}
-    for (s, d), (n, w) in _dp(e.sub, k, full).items():
-        d2 = d
-        if s & bi:
-            d2 |= bj
-        if s & bj:
-            d2 |= bi
-        _merge(out, (s, d2), n, w)
-    return out
+        if t is Union_:
+            t2 = tables.pop()
+            for (s1, d1), (n1, w1) in tables.pop().items():
+                for (s2, d2), (n2, w2) in t2.items():
+                    _merge(out, (s1 | s2, d1 & d2), n1 + n2,
+                           tuple(sorted(w1 + w2, key=str)))
+        elif t is Relabel:
+            src = 1 << (x.src - 1)
+            dst = 1 << (x.dst - 1)
+            for (s, d), (n, w) in tables.pop().items():
+                s2 = ((s | dst) if s & src else s) & ~src
+                # dst merges both classes: dominated iff both were; src becomes
+                # empty, hence dominated
+                if (d & src) and (d & dst):
+                    d2 = d | src | dst
+                else:
+                    d2 = (d | src) & ~dst
+                _merge(out, (s2, d2), n, w)
+        else:
+            # AddEdges: a selected class dominates the whole other class
+            bi = 1 << (x.i - 1)
+            bj = 1 << (x.j - 1)
+            for (s, d), (n, w) in tables.pop().items():
+                d2 = d
+                if s & bi:
+                    d2 |= bj
+                if s & bj:
+                    d2 |= bi
+                _merge(out, (s, d2), n, w)
+        tables.append(out)
+    return tables[0]
 
 
 # ---------------------------------------------------------------------------

@@ -6,13 +6,17 @@ checks: transversals by scanning all subsets, conformality by scanning all
 vertex sets, 2-asummability by enumerating set pairs, regularity by
 scanning every set for every vertex pair, thresholdness by enumerating
 small integer weight vectors, domination by subset scan, and
-induced-subgraph containment by trying all injections.
+induced-subgraph containment by trying all injections. The k-expression
+evaluator, printer and parser at the end are the recursive definitions
+the library's stack-based versions replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from sperner.cliquewidth import (AddEdges, ExpressionError, ExpressionParseError,
+                                 KExpression, Leaf, Relabel, Union_, VertexId)
 from sperner.hypergraph import Hypergraph
 from sperner.graphs import Graph
 
@@ -206,3 +210,183 @@ def brute_gluing_vertices(h: Hypergraph):
     es = h.edges
     return [z for z in h.vertices
             if all(e - f == {z} for e in es if z in e for f in es if z not in f)]
+
+
+# ---------------------------------------------------------------------------
+# k-expressions: the recursive evaluator, printer and parser
+# ---------------------------------------------------------------------------
+# The library's versions walk explicit stacks; these are the plain
+# recursive definitions they replaced, kept as the reference that
+# tests/test_expression_oracle.py compares them with (values, text, and
+# every error's type and message). They recurse once per nesting level.
+
+def _eval(e: KExpression) -> tuple[dict, set]:
+    if isinstance(e, Leaf):
+        return {e.vertex: e.label}, set()
+    if isinstance(e, Union_):
+        l1, s1 = _eval(e.left)
+        l2, s2 = _eval(e.right)
+        dup = set(l1) & set(l2)
+        if dup:
+            raise ExpressionError(f"duplicate vertex ids across union: {sorted(map(str, dup))}")
+        l1.update(l2)
+        return l1, s1 | s2
+    if isinstance(e, Relabel):
+        labels, edges = _eval(e.sub)
+        for v, l in labels.items():
+            if l == e.src:
+                labels[v] = e.dst
+        return labels, edges
+    labels, edges = _eval(e.sub)
+    side_i = [v for v, l in labels.items() if l == e.i]
+    side_j = [v for v, l in labels.items() if l == e.j]
+    for u in side_i:
+        for v in side_j:
+            edges.add(frozenset((u, v)))
+    return labels, edges
+
+
+def format_expression(e: KExpression) -> str:
+    if isinstance(e, Leaf):
+        return f"(leaf {e.label} {_fmt_vertex(e.vertex)})"
+    if isinstance(e, Union_):
+        return f"(union {format_expression(e.left)} {format_expression(e.right)})"
+    if isinstance(e, Relabel):
+        return f"(rel {e.src} {e.dst} {format_expression(e.sub)})"
+    return f"(adde {e.i} {e.j} {format_expression(e.sub)})"
+
+
+def _fmt_vertex(v: VertexId) -> str:
+    return f"v{v}" if isinstance(v, int) else str(v)
+
+
+def _tokenize(text: str):
+    line, col = 1, 1
+    i = 0
+    out = []
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+        elif c.isspace():
+            col += 1
+            i += 1
+        elif c in "()":
+            out.append((c, line, col))
+            col += 1
+            i += 1
+        else:
+            j = i
+            while j < len(text) and not text[j].isspace() and text[j] not in "()":
+                j += 1
+            out.append((text[i:j], line, col))
+            col += j - i
+            i = j
+    return out
+
+
+def parse_expression(text: str) -> KExpression:
+    """Parse the grammar
+        expr := "(leaf" INT IDENT ")" | "(union" expr expr ")"
+              | "(rel" INT INT expr ")" | "(adde" INT INT expr ")"
+    Vertex idents of the form v<digits> (or bare digits) become integer ids.
+    """
+    toks = _tokenize(text)
+    pos = 0
+
+    def peek():
+        if pos >= len(toks):
+            last = toks[-1] if toks else ("", 1, 1)
+            raise ExpressionParseError("unexpected end of input", last[1], last[2])
+        return toks[pos]
+
+    def take():
+        nonlocal pos
+        t = peek()
+        pos += 1
+        return t
+
+    def expect(sym):
+        t = take()
+        if t[0] != sym:
+            raise ExpressionParseError(f"expected {sym!r}, found {t[0]!r}", t[1], t[2])
+        return t
+
+    def take_int(what):
+        t = take()
+        try:
+            v = int(t[0])
+        except ValueError:
+            raise ExpressionParseError(f"expected {what} (an integer), found {t[0]!r}",
+                                       t[1], t[2]) from None
+        return v, t
+
+    def take_vertex():
+        t = take()
+        s = t[0]
+        if s in ("(", ")"):
+            raise ExpressionParseError("expected a vertex identifier", t[1], t[2])
+        if s.isdigit() or (s.startswith("-") and s[1:].isdigit()):
+            return int(s)
+        if s.startswith("v") and s[1:].isdigit():
+            return int(s[1:])
+        return s
+
+    def expr() -> KExpression:
+        expect("(")
+        head = take()
+        op = head[0]
+        try:
+            if op == "leaf":
+                label, _ = take_int("a label")
+                v = take_vertex()
+                expect(")")
+                return Leaf(label, v)
+            if op == "union":
+                l = expr()
+                r = expr()
+                expect(")")
+                return Union_(l, r)
+            if op == "rel":
+                i, _ = take_int("a source label")
+                j, _ = take_int("a target label")
+                sub = expr()
+                expect(")")
+                return Relabel(i, j, sub)
+            if op == "adde":
+                i, _ = take_int("a label")
+                j, _ = take_int("a label")
+                sub = expr()
+                expect(")")
+                return AddEdges(i, j, sub)
+        except ExpressionError as exc:
+            if isinstance(exc, ExpressionParseError):
+                raise
+            raise ExpressionParseError(str(exc), head[1], head[2]) from None
+        raise ExpressionParseError(f"unknown operator {op!r}", head[1], head[2])
+
+    e = expr()
+    if pos != len(toks):
+        t = toks[pos]
+        raise ExpressionParseError(f"trailing input {t[0]!r}", t[1], t[2])
+    _check_distinct_vertices(e)
+    return e
+
+
+def _check_distinct_vertices(e: KExpression):
+    seen = set()
+
+    def walk(x):
+        if isinstance(x, Leaf):
+            if x.vertex in seen:
+                raise ExpressionError(f"duplicate vertex id {x.vertex!r}")
+            seen.add(x.vertex)
+        elif isinstance(x, Union_):
+            walk(x.left)
+            walk(x.right)
+        else:
+            walk(x.sub)
+
+    walk(e)

@@ -1,0 +1,104 @@
+"""k-expressions far deeper than the recursion limit go through the parser,
+the printer, the evaluator and the domination DP, and a deep in-class
+split graph through the whole domination pipeline and ``dominate``.
+
+Expressions are compared as text: the dataclasses' generated ``__eq__``
+and ``__hash__`` still recurse."""
+
+import json
+import random
+import sys
+
+import pytest
+
+import sperner.cli as cli
+from sperner.cliquewidth import (AddEdges, Leaf, Relabel, Union_, evaluate,
+                                 expression_length, format_expression,
+                                 max_label, parse_expression)
+from sperner.domination import (dp_dominating_set, is_dominating,
+                                solve_h_free_split_all)
+from sperner.graphs import Graph, edge_clique_split_of
+from sperner.hypergraph import Hypergraph, glue, is_one_sperner
+from sperner.textio import write_graph
+
+CHAIN_DEPTH = 5000
+COMB_LEAVES = 3000
+
+
+def rel_adde_chain():
+    """An edge 0-1 under CHAIN_DEPTH alternating add-edges and relabel
+    nodes: (adde 1 2 (rel 3 1 (adde 1 2 (rel 1 3 ... (union ...)))))."""
+    e = Union_(Leaf(1, 0), Leaf(2, 1))
+    for d in range(CHAIN_DEPTH - 1):
+        e = AddEdges(1, 2, e) if d % 2 else Relabel(*((1, 3), (3, 1))[d // 2 % 2], e)
+    return e
+
+
+def union_comb():
+    """A star on COMB_LEAVES vertices: one add-edges over a left comb of
+    unions, centre 0 labeled 1, every other leaf labeled 2."""
+    e = Leaf(1, 0)
+    for v in range(1, COMB_LEAVES):
+        e = Union_(e, Leaf(2, v))
+    return AddEdges(1, 2, e)
+
+
+@pytest.mark.parametrize("make, depth, edges, witness", [
+    (rel_adde_chain, CHAIN_DEPTH, {(0, 1)}, {0}),
+    (union_comb, COMB_LEAVES, {(0, v) for v in range(1, COMB_LEAVES)}, {0}),
+])
+def test_deep_expression_at_default_recursion_limit(make, depth, edges, witness):
+    assert sys.getrecursionlimit() < depth
+    e = make()
+    text = format_expression(e)
+    parsed = parse_expression(text)
+    assert format_expression(parsed) == text
+    assert expression_length(parsed) == expression_length(e)
+    assert max_label(parsed) == max_label(e)
+    value = evaluate(parsed, k=3)
+    g = value.to_graph()
+    assert {tuple(sorted(x)) for x in value.edges} == edges
+    assert g == Graph(len(value.vertices), sorted(edges))
+    res = dp_dominating_set(parsed)
+    assert (res.size, res.witness) == (len(witness), frozenset(witness))
+
+
+def gluing_chain(steps: int, seed: int) -> Hypergraph:
+    """``steps`` gluings of the current hypergraph to a zero-vertex side
+    (no hyperedge, or the empty one) on either hand, drawn at random among
+    the choices that keep it 1-Sperner."""
+    rng = random.Random(seed)
+    h = Hypergraph([], [set()])
+    for z in range(steps):
+        choices = [(empty, left) for empty in (False, True) for left in (False, True)]
+        rng.shuffle(choices)
+        for empty, left in choices:
+            side = Hypergraph([], [set()] if empty else [])
+            glued = glue(h, side, z) if left else glue(side, h, z)
+            if is_one_sperner(glued):
+                h = glued
+                break
+    return h
+
+
+def test_gluing_chain_at_default_recursion_limit(tmp_path, capsys):
+    """The incidence split graph of a 300-step gluing chain goes through
+    the domination pipeline, ``dominate``, and ``cwd`` then ``eval``: its
+    decomposition tree is 191 levels deep and its 5-expression 1,414."""
+    h = gluing_chain(300, 11)
+    g = edge_clique_split_of(h).g
+    assert (h.n, g.n) == (300, 446) and g.is_connected()
+    results = solve_h_free_split_all(g)
+    for r in results:
+        assert not r.infeasible and is_dominating(g, r.witness, r.variant)
+    path = tmp_path / "chain.graph"
+    path.write_text(write_graph(g))
+    assert cli.main(["--format", "records", "dominate", str(path)]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert [(r["variant"], r["size"], r["witness"]) for r in records] == [
+        (r.variant, r.size, sorted(r.witness)) for r in results]
+    assert cli.main(["cwd", str(path), "--kind", "split-H"]) == 0
+    expr_path = tmp_path / "chain.expr"
+    expr_path.write_text(capsys.readouterr().out)
+    assert cli.main(["eval", str(expr_path)]) == 0
+    assert capsys.readouterr().out == write_graph(g)
