@@ -19,8 +19,8 @@ from . import textio
 from .cliquewidth import (ExpressionError, built, evaluate, format_expression,
                           parse_expression)
 from .decomposition import GRAPH_CLASSES, DecompositionError, tree_to_text
-from .domination import (VARIANTS, DominationError, brute_force,
-                         is_h_free_split, solve_h_free_split_all)
+from .domination import (VARIANTS, DominationError, OutOfClassError,
+                         brute_force, solve_h_free_split_all)
 from .generators import (random_bigraph_2p3_free, random_one_sperner,
                          random_split_h_free)
 # find_induced is not called here; it stays bound because perfbench's
@@ -126,14 +126,20 @@ def cmd_eval(args) -> int:
 def cmd_dominate(args) -> int:
     g = textio.read_graph(_load(args.path))
     variants = VARIANTS if args.variant == "all" else (args.variant,)
-    method = args.method
-    if method == "auto":
-        method = "dp" if is_h_free_split(g) else "brute"
-    if method == "dp":
-        solved = solve_h_free_split_all(g)
-        results = [solved[VARIANTS.index(v)] for v in variants]
-    else:
+    solved = None
+    if args.method != "brute":
+        # the pipeline decides membership; auto sends the rest to brute force
+        try:
+            solved = solve_h_free_split_all(g)
+        except OutOfClassError:
+            if args.method == "dp":
+                raise
+    if solved is None:
+        method = "brute"
         results = [brute_force(g, v, cap=args.max_n) for v in variants]
+    else:
+        method = "dp"
+        results = [solved[VARIANTS.index(v)] for v in variants]
     lines = []
     records = []
     for res in results:

@@ -233,7 +233,9 @@ def format_expression(e: KExpression) -> str:
 
 
 def _fmt_vertex(v: VertexId) -> str:
-    return f"v{v}" if isinstance(v, int) else str(v)
+    """``v<digits>`` for ids 0 and up; negative ids bare, as ``_vertex_id``
+    reads them back."""
+    return f"v{v}" if isinstance(v, int) and v >= 0 else str(v)
 
 
 class ExpressionParseError(ExpressionError):
@@ -265,18 +267,20 @@ def _parse_error(text: str, index: int, message: str) -> ExpressionParseError:
 
 
 def _vertex_id(s: str) -> VertexId:
-    if s.isdigit() or (s.startswith("-") and s[1:].isdigit()):
-        return int(s)
-    if s.startswith("v") and s[1:].isdigit():
-        return int(s[1:])
-    return s
+    """An ASCII decimal literal, bare, negative or after ``v``, is an
+    integer id; any other token (``v²`` among them) is a string id."""
+    digits = s[1:] if s[0] in "-v" else s
+    if not (digits.isascii() and digits.isdigit()):
+        return s
+    return int(digits) if s[0] == "v" else int(s)
 
 
 def parse_expression(text: str) -> KExpression:
     """Parse the grammar
         expr := "(leaf" INT IDENT ")" | "(union" expr expr ")"
               | "(rel" INT INT expr ")" | "(adde" INT INT expr ")"
-    Vertex idents of the form v<digits> (or bare digits) become integer ids.
+    Vertex idents of the form v<digits> (or bare, possibly negative,
+    ASCII digits) become integer ids.
 
     One left-to-right pass over the tokens with a stack of open operators;
     errors name the line and column of the token where the input stops

@@ -33,12 +33,13 @@ Routes:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .bitset import bits, is_connected, mask_of, popcount
-from .cliquewidth import (KExpression, Leaf, Relabel, Union_,
+from .cliquewidth import (AddEdges, KExpression, Leaf, Relabel,
                           build_from_tree, evaluate, max_label, postorder)
 from .decomposition import (decompose_split_h_free, labeled_h_witness,
                             pattern_witness)
@@ -52,6 +53,11 @@ VARIANTS = ("dominating", "total", "connected")
 
 class DominationError(ValueError):
     pass
+
+
+class OutOfClassError(DominationError):
+    """The input lies outside the class a pipeline solves; ``dominate``
+    with method ``auto`` answers it by brute force instead."""
 
 
 @dataclass(frozen=True)
@@ -112,25 +118,24 @@ def brute_force(g: Graph, variant: str, cap: int = 20) -> DominationResult:
 def dp_dominating_set(e: KExpression) -> DominationResult:
     """Minimum dominating set of the graph a k-expression evaluates to.
 
-    State per subtree: (selected-mask, dominated-mask) over label classes,
-    where a label's dominated bit means every current vertex of that class
-    is dominated; empty classes count as dominated. Values are
-    (size, witness) minimized lexicographically, so the result is
-    deterministic.
+    State per subtree: the label classes holding a selected vertex and the
+    label classes not yet wholly dominated (empty classes count as
+    dominated). Values are (size, witness), least first under
+    ``_before``, so the result is deterministic.
     """
     value = evaluate(e)  # validates the expression
     k = max(1, max_label(e))
     full = (1 << k) - 1
-    table = _dp(e, k, full)
+    by_rank, nat = _witness_order(value.vertices)
     best = None
-    for (sel, dom), (size, wit) in table.items():
-        if dom == full:
-            cand = (size, wit)
-            if best is None or cand < best:
-                best = cand
-    if best is None or not _value_dominated_by(value, best[1]):
+    for key, (n, w) in _dp(e, k, by_rank, nat).items():
+        if not key & full and (best is None or n < best[0]
+                               or n == best[0] and _before(w, best[1], nat)):
+            best = (n, w)
+    witness = None if best is None else frozenset(by_rank[r] for r in bits(best[1]))
+    if witness is None or not _value_dominated_by(value, witness):
         raise DominationError("dominating set DP found no verified witness")
-    return DominationResult("dominating", best[0], frozenset(best[1]))
+    return DominationResult("dominating", best[0], witness)
 
 
 def _value_dominated_by(value, witness) -> bool:
@@ -146,56 +151,119 @@ def _value_dominated_by(value, witness) -> bool:
     return covered == set(value.vertices)
 
 
-def _merge(table: dict, key: tuple, size: int, wit: tuple):
-    cur = table.get(key)
-    if cur is None or (size, wit) < cur:
-        table[key] = (size, wit)
+def _witness_order(vertices) -> tuple[list, list]:
+    """The vertices in ``str`` order (bit r of a witness mask is the r-th)
+    and, per bit, the place of its vertex in ``vertices``, which
+    ``evaluate`` sorts ints first, then strs."""
+    place = {v: i for i, v in enumerate(vertices)}
+    by_rank = sorted(vertices, key=str)
+    return by_rank, [place[v] for v in by_rank]
 
 
-def _dp(e: KExpression, k: int, full: int) -> dict:
-    """The state table of ``e``, built over ``postorder(e)`` with one
-    table per pending subtree."""
+def _before(w: int, cw: int, nat: list) -> bool:
+    """Whether witness mask ``w`` precedes ``cw`` of the same size: as
+    tuples sorted by ``str``, compared element by element in the order of
+    ``nat``. The tuples agree up to the lowest bit x where the masks
+    differ; there one holds x and the other its next bit above x."""
+    d = w ^ cw
+    if not d:
+        return False
+    low = d & -d
+    if w & low:
+        o = cw & -low
+        return nat[low.bit_length() - 1] < nat[(o & -o).bit_length() - 1]
+    o = w & -low
+    return nat[(o & -o).bit_length() - 1] < nat[low.bit_length() - 1]
+
+
+@functools.lru_cache(maxsize=256)
+def _chain_map(k: int, ops: tuple) -> dict:
+    """The key map of a chain of unary ops, shared by every DP run; it is
+    filled by ``_apply_chain`` with the keys the runs reach, so it never
+    holds all 4^k."""
+    return {}
+
+
+def _chain_key(key: int, ops: tuple, k: int) -> int:
+    """``key`` after the chain ``ops``, innermost first. A relabel moves
+    the source bit onto the target in both halves: the target class holds
+    a selected vertex iff either did, is dominated iff both were, and the
+    emptied source is dominated. Add-edges marks dominated the classes
+    joined to a class with a selected vertex."""
+    for t, a, b in ops:
+        if t is Relabel:
+            moved = key & (1 << (a - 1) | 1 << (a - 1 + k))
+            key = key ^ moved | moved >> (a - 1) << (b - 1)
+        else:
+            sel = key >> k
+            if sel >> (a - 1) & 1:
+                key &= ~(1 << (b - 1))
+            if sel >> (b - 1) & 1:
+                key &= ~(1 << (a - 1))
+    return key
+
+
+def _apply_chain(table: dict, k: int, ops: tuple, nat: list) -> dict:
+    m = _chain_map(k, ops)
+    out: dict = {}
+    for key, val in table.items():
+        nk = m.get(key)
+        if nk is None:
+            nk = m[key] = _chain_key(key, ops, k)
+        cur = out.get(nk)
+        if cur is None or val[0] < cur[0] or val[0] == cur[0] and _before(val[1], cur[1], nat):
+            out[nk] = val
+    return out
+
+
+def _dp(e: KExpression, k: int, by_rank: list, nat: list) -> dict:
+    """The state table of ``e``: key ``sel << k | undom`` -> (size,
+    witness mask), where ``sel`` holds the label classes with a selected
+    vertex and ``undom`` those not yet wholly dominated, and bit r of the
+    mask is ``by_rank[r]``.
+
+    Built over ``postorder(e)`` with one table per pending subtree. A
+    union ORs the keys of every pair of entries, adds the sizes and ORs
+    the masks (the two sides' vertices are disjoint). The maximal chain
+    of relabel/add-edges nodes above a subtree is applied as one key map
+    (``_chain_key``), keeping the least value per key once at its end.
+    That is exact: unary ops act on keys only and union on keys, sizes
+    and masks entry by entry, so each key's value is the least over the
+    entries mapped to it, and the least of the least values per
+    intermediate key is the least overall (``_before`` orders the
+    witnesses of one size totally).
+    """
+    bit = {v: 1 << r for r, v in enumerate(by_rank)}
     tables = []
+    ops = []        # the unary chain pending above tables[-1], innermost first
     for x in postorder(e):
         t = type(x)
+        if t is Relabel:
+            ops.append((t, x.src, x.dst))
+            continue
+        if t is AddEdges:
+            ops.append((t, x.i, x.j))
+            continue
+        if ops:
+            tables.append(_apply_chain(tables.pop(), k, tuple(ops), nat))
+            ops.clear()
         if t is Leaf:
             b = 1 << (x.label - 1)
-            tables.append({
-                (b, full): (1, (x.vertex,)),       # select: the class is dominated
-                (0, full ^ b): (0, ()),            # skip: the class is not
-            })
+            # selected: its class is dominated; skipped: it is not
+            tables.append({b << k: (1, bit[x.vertex]), b: (0, 0)})
             continue
+        right = list(tables.pop().items())
         out: dict = {}
-        if t is Union_:
-            t2 = tables.pop()
-            for (s1, d1), (n1, w1) in tables.pop().items():
-                for (s2, d2), (n2, w2) in t2.items():
-                    _merge(out, (s1 | s2, d1 & d2), n1 + n2,
-                           tuple(sorted(w1 + w2, key=str)))
-        elif t is Relabel:
-            src = 1 << (x.src - 1)
-            dst = 1 << (x.dst - 1)
-            for (s, d), (n, w) in tables.pop().items():
-                s2 = ((s | dst) if s & src else s) & ~src
-                # dst merges both classes: dominated iff both were; src becomes
-                # empty, hence dominated
-                if (d & src) and (d & dst):
-                    d2 = d | src | dst
-                else:
-                    d2 = (d | src) & ~dst
-                _merge(out, (s2, d2), n, w)
-        else:
-            # AddEdges: a selected class dominates the whole other class
-            bi = 1 << (x.i - 1)
-            bj = 1 << (x.j - 1)
-            for (s, d), (n, w) in tables.pop().items():
-                d2 = d
-                if s & bi:
-                    d2 |= bj
-                if s & bj:
-                    d2 |= bi
-                _merge(out, (s, d2), n, w)
+        for k1, (n1, w1) in tables.pop().items():
+            for k2, (n2, w2) in right:
+                key = k1 | k2
+                n = n1 + n2
+                cur = out.get(key)
+                if cur is None or n < cur[0] or n == cur[0] and _before(w1 | w2, cur[1], nat):
+                    out[key] = (n, w1 | w2)
         tables.append(out)
+    if ops:
+        tables.append(_apply_chain(tables.pop(), k, tuple(ops), nat))
     return tables[0]
 
 
@@ -259,13 +327,6 @@ def split_reduce(g: Graph, variant: str,
 # The H-free split pipeline
 # ---------------------------------------------------------------------------
 
-def is_h_free_split(g: Graph) -> bool:
-    """Whether g is split and H-free: the pair test of
-    ``labeled_h_witness`` on the partition found by the degree sequence."""
-    part = find_split_partition(g)
-    return part is not None and labeled_h_witness(LabeledSplitGraph(g, *part)) is None
-
-
 def solve_h_free_split(g: Graph, variant: str) -> DominationResult:
     """One variant's entry of ``solve_h_free_split_all(g)``."""
     if variant not in VARIANTS:
@@ -281,14 +342,15 @@ def solve_h_free_split_all(g: Graph) -> tuple[DominationResult, ...]:
     one; ``_total_witness`` per component gives the total one. Total
     domination is infeasible iff some component is a single vertex. Each
     answer is checked against g. H-freeness is the pair test (see the
-    module docstring); the 6-vertex search only runs to report an H.
+    module docstring); the 6-vertex search only runs to report an H. An
+    input that is not split, or holds an H, raises ``OutOfClassError``.
     """
     part = find_split_partition(g)
     if part is None:
-        raise DominationError("graph is not split")
+        raise OutOfClassError("graph is not split")
     w = pattern_witness(LabeledSplitGraph(g, *part), labeled_h_witness, "H")
     if w is not None:
-        raise DominationError(f"graph contains an induced H: {w}")
+        raise OutOfClassError(f"graph contains an induced H: {w}")
     comps = g.components()
     dstars = [frozenset(bits(c)) if popcount(c) == 1 else _component_kside(g, c)
               for c in comps]

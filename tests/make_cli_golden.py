@@ -44,7 +44,7 @@ def _cases():
     from sperner import generators as gen
     from sperner import textio
     from sperner.generators import random_graph
-    from sperner.graphs import PATTERNS, Graph
+    from sperner.graphs import PATTERNS, Graph, edge_clique_split_of
     from sperner.hypergraph import Hypergraph
 
     def graph_case(argv, g):
@@ -127,6 +127,15 @@ def _cases():
         cases.append(graph_case(["dominate", "--method", "dp"], g))
     cases.append(graph_case(["--max-n", "2", "dominate", "--method", "brute"],
                             split_h[-1]))
+    # dominate at n >= 12, where ids of 10 and more sort apart as text and
+    # as numbers: four draws of one seeded stream whose answers turn on the
+    # DP's tie-break between witnesses of equal size
+    tie_rng = random.Random(20261019)
+    ties = [edge_clique_split_of(gen.random_one_sperner(12, tie_rng)).g
+            for _ in range(47)]
+    for g in (ties[2], ties[11], ties[46]):
+        cases.append(graph_case(["dominate"], g))
+    cases.append(graph_case(["--format", "records", "dominate"], ties[3]))
 
     # hyp-check: 1-Sperner, random families, degenerate inputs
     for n in (0, 1, 3, 5, 7):

@@ -8,15 +8,18 @@ scanning every set for every vertex pair, thresholdness by enumerating
 small integer weight vectors, domination by subset scan, and
 induced-subgraph containment by trying all injections. The k-expression
 evaluator, printer and parser at the end are the recursive definitions
-the library's stack-based versions replaced.
+the library's stack-based versions replaced, and the domination DP there
+is the witness-tuple table the library's key-and-mask DP replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 
 from sperner.cliquewidth import (AddEdges, ExpressionError, ExpressionParseError,
-                                 KExpression, Leaf, Relabel, Union_, VertexId)
+                                 KExpression, Leaf, Relabel, Union_, VertexId,
+                                 postorder)
 from sperner.hypergraph import Hypergraph
 from sperner.graphs import Graph
 
@@ -257,6 +260,8 @@ def format_expression(e: KExpression) -> str:
 
 
 def _fmt_vertex(v: VertexId) -> str:
+    if isinstance(v, int) and v < 0:
+        return str(v)
     return f"v{v}" if isinstance(v, int) else str(v)
 
 
@@ -291,7 +296,8 @@ def parse_expression(text: str) -> KExpression:
     """Parse the grammar
         expr := "(leaf" INT IDENT ")" | "(union" expr expr ")"
               | "(rel" INT INT expr ")" | "(adde" INT INT expr ")"
-    Vertex idents of the form v<digits> (or bare digits) become integer ids.
+    Vertex idents of the form v<digits> (or bare, possibly negative,
+    digits), in ASCII, become integer ids.
     """
     toks = _tokenize(text)
     pos = 0
@@ -328,9 +334,9 @@ def parse_expression(text: str) -> KExpression:
         s = t[0]
         if s in ("(", ")"):
             raise ExpressionParseError("expected a vertex identifier", t[1], t[2])
-        if s.isdigit() or (s.startswith("-") and s[1:].isdigit()):
+        if re.fullmatch("-?[0-9]+", s):
             return int(s)
-        if s.startswith("v") and s[1:].isdigit():
+        if re.fullmatch("v[0-9]+", s):
             return int(s[1:])
         return s
 
@@ -390,3 +396,64 @@ def _check_distinct_vertices(e: KExpression):
             walk(x.sub)
 
     walk(e)
+
+
+# ---------------------------------------------------------------------------
+# k-expressions: the witness-tuple domination DP
+# ---------------------------------------------------------------------------
+# The table the library's ``domination._dp`` replaced: keys (selected
+# label mask, dominated label mask), values (size, witness tuple sorted
+# by ``str``), one table rebuilt per node and the least value per key
+# kept by tuple comparison. tests/test_dp_oracle.py compares the two
+# tables entry by entry, witness order included.
+
+def _merge(table: dict, key: tuple, size: int, wit: tuple):
+    cur = table.get(key)
+    if cur is None or (size, wit) < cur:
+        table[key] = (size, wit)
+
+
+def dp_table(e: KExpression, k: int) -> dict:
+    full = (1 << k) - 1
+    tables = []
+    for x in postorder(e):
+        t = type(x)
+        if t is Leaf:
+            b = 1 << (x.label - 1)
+            tables.append({
+                (b, full): (1, (x.vertex,)),       # select: the class is dominated
+                (0, full ^ b): (0, ()),            # skip: the class is not
+            })
+            continue
+        out: dict = {}
+        if t is Union_:
+            t2 = tables.pop()
+            for (s1, d1), (n1, w1) in tables.pop().items():
+                for (s2, d2), (n2, w2) in t2.items():
+                    _merge(out, (s1 | s2, d1 & d2), n1 + n2,
+                           tuple(sorted(w1 + w2, key=str)))
+        elif t is Relabel:
+            src = 1 << (x.src - 1)
+            dst = 1 << (x.dst - 1)
+            for (s, d), (n, w) in tables.pop().items():
+                s2 = ((s | dst) if s & src else s) & ~src
+                # dst merges both classes: dominated iff both were; src becomes
+                # empty, hence dominated
+                if (d & src) and (d & dst):
+                    d2 = d | src | dst
+                else:
+                    d2 = (d | src) & ~dst
+                _merge(out, (s2, d2), n, w)
+        else:
+            # AddEdges: a selected class dominates the whole other class
+            bi = 1 << (x.i - 1)
+            bj = 1 << (x.j - 1)
+            for (s, d), (n, w) in tables.pop().items():
+                d2 = d
+                if s & bi:
+                    d2 |= bj
+                if s & bj:
+                    d2 |= bi
+                _merge(out, (s, d2), n, w)
+        tables.append(out)
+    return tables[0]

@@ -75,6 +75,17 @@ class TestParsePrint:
         e = parse_expression(P4_EXPR_TEXT)
         assert parse_expression(format_expression(e)) == e
 
+    def test_negative_ids_roundtrip(self):
+        e = Union_(Leaf(1, -3), Union_(Leaf(2, 4), Leaf(1, "v-3")))
+        text = format_expression(e)
+        assert text == "(union (leaf 1 -3) (union (leaf 2 v4) (leaf 1 v-3)))"
+        assert parse_expression(text) == e
+
+    def test_non_ascii_digits_are_string_ids(self):
+        assert parse_expression("(leaf 1 v²)") == Leaf(1, "v²")
+        assert parse_expression("(leaf 1 ١٢)") == Leaf(1, "١٢")
+        assert parse_expression("(leaf 1 -²)") == Leaf(1, "-²")
+
     def test_error_positions(self):
         with pytest.raises(ExpressionParseError) as ei:
             parse_expression("(union (leaf 1 a)\n  (leaf b))")

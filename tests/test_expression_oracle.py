@@ -134,7 +134,7 @@ MESSAGES = ("unexpected end of input", "expected '('", "expected ')'",
             "expected a target label", "expected a vertex identifier",
             "trailing input", "labels are positive integers",
             "relabel needs two distinct labels", "add-edges needs two distinct labels",
-            "duplicate vertex id ", "invalid literal for int()")
+            "duplicate vertex id ")
 
 
 def test_seeded_mutations_of_formatted_texts():

@@ -2,6 +2,7 @@
 minimum dominating set per component: one dynamic-program run per
 component with two or more vertices, whatever the number of variants."""
 
+import json
 import random
 
 import pytest
@@ -87,3 +88,53 @@ def test_single_variant_is_an_entry_of_all_exhaustive_n7():
 def test_unknown_variant_is_rejected():
     with pytest.raises(domination.DominationError, match="unknown variant"):
         solve_h_free_split(Graph(2, [(0, 1)]), "independent")
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    orig = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_auto_decides_the_class_once(tmp_path, capsys, monkeypatch):
+    """``dominate`` (auto) runs the H pair test once, in the pipeline, and
+    the split partition once more per component with two or more vertices."""
+    g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4)])
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph(g))
+    splits = _count_calls(monkeypatch, domination, "find_split_partition")
+    h_tests = _count_calls(monkeypatch, domination, "pattern_witness")
+    assert cli.main(["--format", "records", "dominate", str(path)]) == 0
+    methods = {json.loads(line)["method"] for line in capsys.readouterr().out.splitlines()}
+    assert methods == {"dp"}
+    assert (len(splits), len(h_tests)) == (1 + _nontrivial_components(g), 1)
+
+
+@pytest.mark.parametrize("g, message", [
+    (pattern("C4"), "graph is not split"),
+    (pattern("H"), "graph contains an induced H: "),
+], ids=["not-split", "induced-H"])
+def test_out_of_class_goes_to_brute_force_under_auto(tmp_path, capsys, g, message):
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph(g))
+    assert cli.main(["--format", "records", "dominate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert {json.loads(line)["method"] for line in out.splitlines()} == {"brute"}
+    assert cli.main(["dominate", "--method", "dp", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_auto_keeps_a_failed_verification_at_exit_2(tmp_path, capsys, monkeypatch):
+    """Only out-of-class input goes to brute force; a witness that fails
+    its check is an error."""
+    monkeypatch.setattr(domination, "_component_kside", lambda g, comp: frozenset())
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph(Graph(2, [(0, 1)])))
+    assert cli.main(["dominate", str(path)]) == 2
+    assert capsys.readouterr().err == "error: dominating witness fails verification\n"

@@ -1,9 +1,14 @@
 """File formats, witness serialization, and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sperner
 from sperner.cli import main
 from sperner.graphs import Graph
 from sperner.hypergraph import Hypergraph
@@ -195,3 +200,19 @@ class TestGoldenP4:
         code, out, _ = run_cli(capsys, "generate", "--size", "0")
         body = [l for l in out.splitlines() if not l.startswith("#")]
         assert code == 0 and body == ["0 0"]
+
+
+@pytest.mark.parametrize("ident", ["v²", "²", "-²", "١"])
+def test_eval_non_ascii_digit_id_exits_2_without_traceback(tmp_path, ident):
+    """Such an id is a string id, so the graph is not on 0..n-1: a typed
+    error, exit 2, one ``error:`` line."""
+    path = tmp_path / "e.expr"
+    path.write_text(f"(leaf 1 {ident})", encoding="utf-8")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(sperner.__file__).parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "sperner.cli", "eval", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: vertex ids are not contiguous 0-based integers\n"

@@ -83,8 +83,9 @@ def test_brute_force_check(monkeypatch):
 
 
 @pytest.mark.parametrize("fake_dp", [
-    lambda e, k, full: {},
-    lambda e, k, full: {(0, full): (0, ())},
+    lambda e, k, by_rank, nat: {},
+    # key 0: no class selected, none left undominated; empty witness mask
+    lambda e, k, by_rank, nat: {0: (0, 0)},
 ], ids=["no-complete-state", "witness-dominates-nothing"])
 def test_dp_witness_check(monkeypatch, fake_dp):
     monkeypatch.setattr(domination, "_dp", fake_dp)
