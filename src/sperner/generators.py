@@ -5,7 +5,7 @@ stable across platforms, so every generated instance is reproducible from
 its seed. Generators used by the verification sweeps:
 
 * random 1-Sperner hypergraphs grown by random gluing trees, resampling
-  any gluing whose result fails the 1-Sperner check;
+  any gluing that the gluing lemma rules out;
 * in-class split graphs / bigraphs / cobigraphs obtained from those
   hypergraphs through the incidence constructions, with rejection on the
   class predicates where membership is not automatic;
@@ -33,11 +33,12 @@ def random_one_sperner(n: int, rng: random.Random, empty_edge_prob: float = 0.6,
     """A random 1-Sperner hypergraph on vertex ids 0..n-1.
 
     Grown as a random gluing tree: a hypergraph on n >= 1 vertices is the
-    gluing of random left/right parts whose sizes sum to n - 1. Gluings
-    that fail the 1-Sperner check (the left part having its full vertex
-    set as a hyperedge while the right part has the empty hyperedge) are
-    resampled. Zero-vertex leaves carry the empty hyperedge with
-    probability ``empty_edge_prob``.
+    gluing of random left/right parts whose sizes sum to n - 1. By the
+    gluing lemma (``sperner.hypergraph``), a gluing of two 1-Sperner parts
+    fails to be 1-Sperner exactly when the left part has its full vertex
+    set as a hyperedge and the right part has the empty hyperedge; such
+    draws are resampled before they are glued. Zero-vertex leaves carry
+    the empty hyperedge with probability ``empty_edge_prob``.
     """
 
     def gen(lo: int, hi: int) -> Hypergraph:
@@ -51,9 +52,8 @@ def random_one_sperner(n: int, rng: random.Random, empty_edge_prob: float = 0.6,
             z = lo + n1
             h1 = gen(lo, z)
             h2 = gen(z + 1, hi)
-            h = glue(h1, h2, z)
-            if is_one_sperner(h):
-                return h
+            if not ((1 << h1.n) - 1 in h1.edge_masks and 0 in h2.edge_masks):
+                return glue(h1, h2, z)
         raise RuntimeError("failed to grow a 1-Sperner gluing")
 
     return gen(0, n)

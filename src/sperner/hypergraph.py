@@ -20,7 +20,13 @@ The central structural facts implemented here:
   vertices if none does). The gluing condition asks e \\ {z} to be a
   subset of f for every such pair (e, f); over all pairs together that
   says U_z is a subset of I_z. So one candidate z costs O(m) word operations,
-  and the constituents are read off U_z as masks.
+  and the constituents are read off U_z as masks;
+* gluing lemma: glue(H1, H2, z) is 1-Sperner iff H1 and H2 both are and
+  not (V1 is a hyperedge of H1 and the empty set one of H2). Pairs within
+  one side keep their differences. A cross pair {z} + e, V1 + f differs
+  by {z} on one side and by (V1 \\ e) + f on the other, which is empty
+  exactly when e = V1 and f is empty. So a decomposition tree certifies
+  1-Spernerness once every node passes this test.
 
 Transversal (minimal hitting set) machinery and conformality testing live
 here as well; both are exact and meant for desk-scale inputs.
@@ -204,18 +210,22 @@ def _split_masks(masks, zb: int) -> Optional[tuple[int, list[int], list[int]]]:
     Returns (U_z, E1, E2): E1 holds e \\ {z} for the hyperedges e that
     contain z, and E2 holds f \\ U_z for the others. Returns None when the
     masks are not z-decomposable, that is when U_z is not a subset of I_z
-    (see the module docstring); the test is one pass over the masks.
+    (see the module docstring). U only grows and I only shrinks as the
+    masks are read, so the first conflict is final and the pass stops
+    there.
     """
     u = 0
     i = -1
     for e in masks:
         if e & zb:
+            e ^= zb
+            if e & ~i:
+                return None
             u |= e
+        elif u & ~e:
+            return None
         else:
             i &= e
-    u &= ~zb
-    if u & ~i:
-        return None
     return u, [e ^ zb for e in masks if e & zb], [f & ~u for f in masks if not f & zb]
 
 
@@ -311,10 +321,14 @@ def decompose(h: Hypergraph) -> DecompositionTree:
     ids, so the lowest bit of V that passes the test is the smallest-id
     gluing vertex of the level, the vertex the definition picks. An
     explicit stack replaces recursion, so depth is limited by memory only.
+
+    The tree itself certifies 1-Spernerness, by the gluing lemma (module
+    docstring): each split is exact, so a level is the gluing of its
+    children, and a zero-vertex leaf holds at most one hyperedge. Hence
+    the input is 1-Sperner iff no node has V1 in E1 and the empty set in
+    E2. The O(m^2) pair scan runs only when a node fails that test or a
+    level has no gluing vertex, to name the witness pair.
     """
-    bad = one_sperner_violation(h)
-    if bad is not None:
-        raise NotOneSpernerError(*bad)
     ids = h.vertices
     order: list = []                # preorder: node ids and leaves
     todo = [((1 << h.n) - 1, h.edge_masks)]
@@ -324,19 +338,28 @@ def decompose(h: Hypergraph) -> DecompositionTree:
             order.append(_LEAVES[bool(masks)])
             continue
         rest = vm
-        while rest:
+        split = None
+        while rest and split is None:
             zb = rest & -rest
             split = _split_masks(masks, zb)
-            if split is not None:
-                break
             rest ^= zb
-        else:
-            raise HypergraphError("no gluing vertex found in a 1-Sperner hypergraph")
+        if split is None or split[0] in split[1] and 0 in split[2]:
+            raise _not_one_sperner(h)
         u, e1, e2 = split
         order.append(ids[zb.bit_length() - 1])
         todo.append((vm & ~u & ~zb, e2))
         todo.append((u, e1))
     return _fold_preorder(order, lambda leaf: leaf, HNode)
+
+
+def _not_one_sperner(h: Hypergraph) -> HypergraphError:
+    """The error for an input whose decomposition fails: NotOneSpernerError
+    with the pair scan's first witness, or, should the scan find none, the
+    error of a gluing search that missed a 1-Sperner level."""
+    bad = one_sperner_violation(h)
+    if bad is None:
+        return HypergraphError("no gluing vertex found in a 1-Sperner hypergraph")
+    return NotOneSpernerError(*bad)
 
 
 def _fold_preorder(order: list, leaf, node):

@@ -56,29 +56,44 @@ def _header(text: str, item: str) -> tuple[int, list]:
 
 
 def read_hypergraph(text: str) -> Hypergraph:
+    """Vertex tokens are looked up in a table of the canonical spellings
+    "0" .. "n-1". A line with any other token, or with a size token other
+    than the canonical count, is read with ``int()`` by
+    ``_checked_vertices``, so other spellings and every error read as the
+    plain integer parse gives them."""
     n, lines = _header(text, "hyperedge")
+    pos = {str(v): v for v in range(n)}
     masks = []
     for ln, toks in lines[1:]:
-        try:
-            vals = list(map(int, toks))
-        except ValueError:
-            raise ParseError("hyperedge line must contain integers", ln) from None
-        if not vals:
-            raise ParseError("hyperedge line must start with its size", ln)
-        k, vs = vals[0], vals[1:]
-        if k != len(vs):
-            raise ParseError(f"declared size {k} but {len(vs)} vertices follow", ln)
-        if len(set(vs)) != len(vs):
+        vs = list(map(pos.get, toks[1:]))
+        if None in vs or toks[0] != str(len(vs)):
+            vs = _checked_vertices(toks, n, ln)
+        m = sum(map((1).__lshift__, vs))
+        # the bits of distinct vertices never carry
+        if m.bit_count() != len(vs):
             raise ParseError("repeated vertex inside a hyperedge", ln)
-        m = 0
-        for v in vs:
-            if not 0 <= v < n:
-                raise ParseError(f"vertex {v} out of range 0..{n - 1}", ln)
-            m |= 1 << v
         masks.append(m)
     if len(set(masks)) != len(masks):
         raise ParseError("duplicate hyperedges", lines[0][0])
     return Hypergraph.from_masks(range(n), masks)
+
+
+def _checked_vertices(toks: list, n: int, ln: int) -> list:
+    """The vertices of a hyperedge line "k v1 ... vk" read as integers,
+    after checking the size, repeats and the range, in that order."""
+    try:
+        vals = list(map(int, toks))
+    except ValueError:
+        raise ParseError("hyperedge line must contain integers", ln) from None
+    k, vs = vals[0], vals[1:]
+    if k != len(vs):
+        raise ParseError(f"declared size {k} but {len(vs)} vertices follow", ln)
+    if len(set(vs)) != len(vs):
+        raise ParseError("repeated vertex inside a hyperedge", ln)
+    for v in vs:
+        if not 0 <= v < n:
+            raise ParseError(f"vertex {v} out of range 0..{n - 1}", ln)
+    return vs
 
 
 def write_hypergraph(h: Hypergraph) -> str:

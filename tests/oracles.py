@@ -9,18 +9,22 @@ small integer weight vectors, domination by subset scan, and
 induced-subgraph containment by trying all injections. The k-expression
 evaluator, printer and parser at the end are the recursive definitions
 the library's stack-based versions replaced, and the domination DP there
-is the witness-tuple table the library's key-and-mask DP replaced.
+is the witness-tuple table the library's key-and-mask DP replaced. The
+random 1-Sperner generator here glues every draw and runs the pairwise
+1-Sperner check on the result, as the library's did before it tested the
+gluing lemma on the parts instead.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 import re
 
 from sperner.cliquewidth import (AddEdges, ExpressionError, ExpressionParseError,
                                  KExpression, Leaf, Relabel, Union_, VertexId,
                                  postorder)
-from sperner.hypergraph import Hypergraph
+from sperner.hypergraph import Hypergraph, glue, is_one_sperner
 from sperner.graphs import Graph
 
 
@@ -213,6 +217,31 @@ def brute_gluing_vertices(h: Hypergraph):
     es = h.edges
     return [z for z in h.vertices
             if all(e - f == {z} for e in es if z in e for f in es if z not in f)]
+
+
+def random_one_sperner_by_check(n: int, rng: random.Random,
+                                empty_edge_prob: float = 0.6,
+                                max_retries: int = 200) -> Hypergraph:
+    """A random gluing tree on vertex ids 0..n-1, each gluing kept only if
+    the glued hypergraph passes the pairwise 1-Sperner check."""
+
+    def gen(lo: int, hi: int) -> Hypergraph:
+        nv = hi - lo
+        if nv == 0:
+            if rng.random() < empty_edge_prob:
+                return Hypergraph([], [set()])
+            return Hypergraph([], [])
+        for _ in range(max_retries):
+            n1 = rng.randint(0, nv - 1)
+            z = lo + n1
+            h1 = gen(lo, z)
+            h2 = gen(z + 1, hi)
+            h = glue(h1, h2, z)
+            if is_one_sperner(h):
+                return h
+        raise RuntimeError("failed to grow a 1-Sperner gluing")
+
+    return gen(0, n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """In-class ``dominate`` and ``cwd`` runs decide H- and co-H-freeness with
-the pair tests alone, ``hyp-check`` refutes irregular inputs without the
-LP, and ``ThresholdWitness.verify`` builds no 2^n table above its
-exhaustive cap."""
+the pair tests alone, in-class ``decompose`` runs certify 1-Spernerness
+from the gluing tree without the pairwise scan, ``hyp-check`` refutes
+irregular inputs without the LP, and ``ThresholdWitness.verify`` builds no
+2^n table above its exhaustive cap."""
 
 import json
 import random
@@ -13,6 +14,7 @@ import pytest
 
 import sperner.cli as cli
 import sperner.graphs as graphs
+import sperner.hypergraph as hypergraph
 import sperner.threshold as threshold
 from sperner.domination import brute_force, is_dominating
 from sperner.generators import (random_one_sperner, random_split_h_free,
@@ -120,6 +122,29 @@ def test_pair_test_and_search_disagreeing_is_a_typed_error(tmp_path, capsys,
     assert (code, out) == (2, "")
     assert err == (f"error: the pair test finds an induced {name} "
                    "that the pattern search does not\n")
+
+
+class PairScanCalled(Exception):
+    pass
+
+
+def test_decompose_in_class_runs_without_the_pair_scan(tmp_path, capsys, monkeypatch):
+    hs = [random_one_sperner(n, random.Random(n)) for n in (0, 1, 9, 40, 150)]
+    hs.append(Hypergraph(range(3), [{0, 1}, {1, 2}]))
+    paths = []
+    for i, h in enumerate(hs):
+        path = tmp_path / f"h{i}.hyp"
+        path.write_text(write_hypergraph(h))
+        paths.append(str(path))
+    trees = [hypergraph.decompose(h) for h in hs]
+    outputs = [run_cli(capsys, "decompose", p) for p in paths]
+    assert all(code == 0 for code, _, _ in outputs)
+
+    def refuse(*args, **kwargs):
+        raise PairScanCalled("one_sperner_violation ran on a 1-Sperner input")
+    monkeypatch.setattr(hypergraph, "one_sperner_violation", refuse)
+    assert [hypergraph.decompose(h) for h in hs] == trees
+    assert [run_cli(capsys, "decompose", p) for p in paths] == outputs
 
 
 def test_verify_above_the_exhaustive_cap_builds_no_table():

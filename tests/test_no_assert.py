@@ -57,3 +57,21 @@ def test_hyp_check_under_optimize_flag(tmp_path, capsys):
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             code, capsys.readouterr().out, "")
         assert code == want_code
+
+
+def test_decompose_under_optimize_flag(tmp_path, capsys):
+    path_in = tmp_path / "in.hyp"
+    path_in.write_text(write_hypergraph(random_one_sperner(40, random.Random(5))))
+    path_k4 = tmp_path / "k4.hyp"
+    path_k4.write_text("4 6\n2 0 1\n2 0 2\n2 0 3\n2 1 2\n2 1 3\n2 2 3\n")
+    env = _optimized_env()
+    for path, want_code, want_err in (
+            (path_in, 0, ""),
+            (path_k4, 2, "error: not 1-Sperner: hyperedges [0, 1] and [2, 3]\n")):
+        argv = ["decompose", str(path)]
+        proc = subprocess.run([sys.executable, "-O", "-m", "sperner.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        code = main(argv)
+        out = capsys.readouterr()
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.out, out.err)
+        assert (code, out.err) == (want_code, want_err)

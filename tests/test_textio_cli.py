@@ -39,6 +39,31 @@ class TestHypergraphFormat:
         h = read_hypergraph("# a comment\n2 1\n2 0 1\n")
         assert h.m == 1
 
+    @pytest.mark.parametrize("text, edges", [
+        ("3 1\n2 +1 2\n", ({1, 2},)),
+        ("3 1\n02 0 2\n", ({0, 2},)),
+        ("3 2\n2 1 2\n0\n", (set(), {1, 2})),
+    ])
+    def test_non_canonical_spellings_are_read_as_integers(self, text, edges):
+        assert read_hypergraph(text) == Hypergraph(range(3), edges)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 1\n2 1 01\n", "line 2: repeated vertex inside a hyperedge"),
+        ("3 1\n2 0 -0\n", "line 2: repeated vertex inside a hyperedge"),
+        ("3 1\n2 1 1\n", "line 2: repeated vertex inside a hyperedge"),
+        ("3 1\n2 7 x\n", "line 2: hyperedge line must contain integers"),
+        ("3 1\n2 x 7\n", "line 2: hyperedge line must contain integers"),
+        ("3 1\n2 -1 1\n", "line 2: vertex -1 out of range 0..2"),
+        ("3 1\n1 3\n", "line 2: vertex 3 out of range 0..2"),
+        ("3 1\n3 0 1\n", "line 2: declared size 3 but 2 vertices follow"),
+        ("3 1\nx 0 1\n", "line 2: hyperedge line must contain integers"),
+        ("3 2\n1 0\n1 00\n", "line 1: duplicate hyperedges"),
+    ])
+    def test_reader_errors(self, text, message):
+        with pytest.raises(ParseError) as exc:
+            read_hypergraph(text)
+        assert str(exc.value) == message
+
 
 class TestGraphFormat:
     def test_roundtrip(self):
