@@ -25,7 +25,7 @@ from .bitset import bits
 from .graphs import (Graph, LabeledBigraph, LabeledSplitGraph, bigraph_of,
                      edge_clique_split_of, find_induced, pattern,
                      vertex_clique_split_of)
-from .hypergraph import Hypergraph, glue, is_one_sperner
+from .hypergraph import Hypergraph, _glue_masks, is_one_sperner
 
 
 def random_one_sperner(n: int, rng: random.Random, empty_edge_prob: float = 0.6,
@@ -38,7 +38,10 @@ def random_one_sperner(n: int, rng: random.Random, empty_edge_prob: float = 0.6,
     fails to be 1-Sperner exactly when the left part has its full vertex
     set as a hyperedge and the right part has the empty hyperedge; such
     draws are resampled before they are glued. Zero-vertex leaves carry
-    the empty hyperedge with probability ``empty_edge_prob``.
+    the empty hyperedge with probability ``empty_edge_prob``. Each part
+    spans a contiguous id range, with z between the two, so a gluing
+    lifts the right part's masks by one shift and the left part's not at
+    all.
     """
 
     def gen(lo: int, hi: int) -> Hypergraph:
@@ -52,8 +55,10 @@ def random_one_sperner(n: int, rng: random.Random, empty_edge_prob: float = 0.6,
             z = lo + n1
             h1 = gen(lo, z)
             h2 = gen(z + 1, hi)
-            if not ((1 << h1.n) - 1 in h1.edge_masks and 0 in h2.edge_masks):
-                return glue(h1, h2, z)
+            v1 = (1 << n1) - 1
+            if not (v1 in h1.edge_masks and 0 in h2.edge_masks):
+                return Hypergraph.from_masks(range(lo, hi), _glue_masks(
+                    h1.edge_masks, [f << (n1 + 1) for f in h2.edge_masks], v1, 1 << n1))
         raise RuntimeError("failed to grow a 1-Sperner gluing")
 
     return gen(0, n)

@@ -305,32 +305,30 @@ DecompositionTree = Union[HLeaf, HNode]
 _LEAVES = (HLeaf(Hypergraph([], [])), HLeaf(Hypergraph([], [set()])))
 
 
-def decompose(h: Hypergraph) -> DecompositionTree:
-    """Gluing decomposition of a 1-Sperner hypergraph.
+def gluing_preorder(h: Hypergraph) -> Optional[list]:
+    """The gluing decomposition of ``h`` in preorder, or None when ``h`` is
+    not 1-Sperner.
 
-    At every step the smallest vertex id z at which the hypergraph is
-    z-decomposable is used; such a vertex exists for every nonempty
-    1-Sperner hypergraph, and both constituents are again 1-Sperner.
-    Raises NotOneSpernerError (with a witness pair) otherwise.
-
-    Every level works on masks over the input's positions: a level is a
-    vertex mask V and its hyperedge masks, and its constituents at z are
-    (U_z, {e \\ {z}}) and (V \\ U_z \\ {z}, {f \\ U_z}). Theorem: z is
-    a gluing vertex iff U_z is a subset of I_z (module docstring), a test
-    that depends only on the level's sets. Positions follow the sorted
-    ids, so the lowest bit of V that passes the test is the smallest-id
-    gluing vertex of the level, the vertex the definition picks. An
-    explicit stack replaces recursion, so depth is limited by memory only.
+    Items are the gluing vertex ids of the nodes, left subtree first, and
+    the leaves as ``HLeaf``. At every level the smallest vertex id z at
+    which the level is z-decomposable is used. Every level works on masks
+    over the input's positions: a level is a vertex mask V and its
+    hyperedge masks, and its constituents at z are (U_z, {e \\ {z}}) and
+    (V \\ U_z \\ {z}, {f \\ U_z}). Theorem: z is a gluing vertex iff
+    U_z is a subset of I_z (module docstring), a test that depends only on
+    the level's sets. Positions follow the sorted ids, so the lowest bit of
+    V that passes the test is the smallest-id gluing vertex of the level,
+    the vertex the definition picks. An explicit stack replaces recursion,
+    so depth is limited by memory only.
 
     The tree itself certifies 1-Spernerness, by the gluing lemma (module
     docstring): each split is exact, so a level is the gluing of its
     children, and a zero-vertex leaf holds at most one hyperedge. Hence
-    the input is 1-Sperner iff no node has V1 in E1 and the empty set in
-    E2. The O(m^2) pair scan runs only when a node fails that test or a
-    level has no gluing vertex, to name the witness pair.
+    the input is 1-Sperner iff every level has a gluing vertex and no node
+    has V1 in E1 and the empty set in E2; None is returned otherwise.
     """
     ids = h.vertices
-    order: list = []                # preorder: node ids and leaves
+    order: list = []
     todo = [((1 << h.n) - 1, h.edge_masks)]
     while todo:
         vm, masks = todo.pop()
@@ -344,11 +342,29 @@ def decompose(h: Hypergraph) -> DecompositionTree:
             split = _split_masks(masks, zb)
             rest ^= zb
         if split is None or split[0] in split[1] and 0 in split[2]:
-            raise _not_one_sperner(h)
+            return None
         u, e1, e2 = split
         order.append(ids[zb.bit_length() - 1])
         todo.append((vm & ~u & ~zb, e2))
         todo.append((u, e1))
+    return order
+
+
+def decompose(h: Hypergraph) -> DecompositionTree:
+    """Gluing decomposition of a 1-Sperner hypergraph.
+
+    At every step the smallest vertex id z at which the hypergraph is
+    z-decomposable is used; such a vertex exists for every nonempty
+    1-Sperner hypergraph, and both constituents are again 1-Sperner.
+    Raises NotOneSpernerError (with a witness pair) otherwise.
+
+    The levels are those of ``gluing_preorder``, whose tree certifies
+    1-Spernerness by the gluing lemma. The O(m^2) pair scan runs only when
+    that certificate fails, to name the witness pair.
+    """
+    order = gluing_preorder(h)
+    if order is None:
+        raise _not_one_sperner(h)
     return _fold_preorder(order, lambda leaf: leaf, HNode)
 
 

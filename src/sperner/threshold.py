@@ -6,11 +6,14 @@ threshold t exist with w(X) >= t exactly for the dependent X. It is
 k-asummable when no k independent sets and k dependent sets have equal
 characteristic-vector sums.
 
-Thresholdness is decided in two steps. A polynomial regularity pre-test
-comes first: every threshold hypergraph is 2-asummable, hence regular
-(any two vertices are comparable, see ``threshold_witness``), so an
-incomparable vertex pair refutes thresholdness with a verified
-2-summability witness and no LP. Regular inputs go on to exact rational
+Thresholdness is decided in three steps. A 1-Sperner input gets an
+integer certificate folded bottom-up over its gluing decomposition (the
+paper's induction, see ``_gluing_threshold_witness``), with no LP. A
+polynomial regularity pre-test comes next: every threshold hypergraph is
+2-asummable, hence regular (any two vertices are comparable, see
+``threshold_witness``), so an incomparable vertex pair refutes
+thresholdness with a verified 2-summability witness and no LP. The
+remaining inputs, regular and not 1-Sperner, go on to exact rational
 linear feasibility over the inclusion-minimal hyperedges and the maximal
 independent sets; strict inequalities are normalized to a gap of one,
 which is valid because any separating pair (w, t) can be scaled. Returned
@@ -41,7 +44,8 @@ from typing import Iterable, Optional
 
 from .bitset import bits
 from .bitset import minimal_masks
-from .hypergraph import Hypergraph, maximal_independent_masks
+from .hypergraph import (HLeaf, Hypergraph, gluing_preorder,
+                         maximal_independent_masks)
 from .lp import solve_nonnegative_feasibility
 
 ASUMMABILITY_CAP = 3
@@ -297,6 +301,11 @@ def threshold_witness(h: Hypergraph) -> Optional[ThresholdWitness]:
     dependent (w = 0, t = 0); with no hyperedges every set is independent
     (w = 0, t = 1).
 
+    A 1-Sperner input is threshold (the paper's theorem), and
+    ``_gluing_threshold_witness`` builds its certificate from the gluing
+    decomposition. Since 1-Sperner implies threshold implies regular, this
+    step comes before the pre-test, and the LP sees no 1-Sperner input.
+
     Regularity pre-test. Vertex i dominates j (i >= j) when X + j
     dependent implies X + i dependent for every X avoiding i and j. A
     threshold hypergraph is regular: any two vertices are comparable. For
@@ -312,6 +321,9 @@ def threshold_witness(h: Hypergraph) -> Optional[ThresholdWitness]:
         return ThresholdWitness(tuple([Fraction(0)] * n), Fraction(0))
     if not h.edge_masks:
         return ThresholdWitness(tuple([Fraction(0)] * n), Fraction(1))
+    witness = _gluing_threshold_witness(h)
+    if witness is not None:
+        return _verified(witness, h)
     minimal = minimal_masks(h.edge_masks)
     pair = _incomparable_pair(h, minimal)
     if pair is not None:
@@ -319,6 +331,73 @@ def threshold_witness(h: Hypergraph) -> Optional[ThresholdWitness]:
             raise ThresholdError("incomparable-pair witness failed its own verification")
         return None
     return _lp_threshold_witness(h, minimal)
+
+
+def _verified(witness: ThresholdWitness, h: Hypergraph) -> ThresholdWitness:
+    if not witness.verify(h):
+        raise ThresholdError("threshold witness failed its own verification")
+    return witness
+
+
+def _gluing_threshold_witness(h: Hypergraph) -> Optional[ThresholdWitness]:
+    """An integer (w, t) folded over the gluing decomposition, or None when
+    h is not 1-Sperner. Not verified here.
+
+    Let H = glue(H1, H2, z), with (w1, t1) separating H1 on V1 and
+    (w2, t2) separating H2 on V2, all non-negative integers, and W2 =
+    w2(V2). The hyperedges of H are {z} + e and V1 + f, so a set X is
+    dependent in H iff z is in X and X & V1 is dependent in H1, or V1 is
+    inside X and X & V2 is dependent in H2. Leaves have no vertices:
+    t = 1 for no hyperedge, t = 0 for {{}}.
+
+    If H1 has no hyperedge, no hyperedge holds z and V1 is empty (it is
+    U_z), so H is H2 plus the isolated z: w(z) = 0 and (w2, t2) stand.
+
+    Otherwise let Z be the number of zero weights of w1, K = Z + 1 and
+    u = K w1 + [w1 = 0] on V1, so u is positive. u separates H1 at K t1
+    with a gap of one: a dependent X1 has u(X1) >= K t1, an independent
+    one u(X1) <= K (t1 - 1) + Z = K t1 - 1. Let U1 = u(V1), which is at
+    least K t1 because V1 holds a hyperedge, and A = W2 + 1 > W2. Put
+    w = A u on V1, w2 on V2, w(z) = A (U1 - K t1) + t2 >= 0 and
+    t = A U1 + t2. Then for X with X1 = X & V1, X2 = X & V2:
+
+    * z in X, X1 dependent: w(X) >= A K t1 + A (U1 - K t1) + t2 = t.
+    * z in X, X1 independent: w(X) <= A (U1 - 1) + t2 + W2 < t.
+    * z not in X, X1 = V1: w(X) = A U1 + w2(X2), at least t iff X2 is
+      dependent in H2.
+    * z not in X, X1 short of V1: u is positive, so
+      w(X) <= A (U1 - 1) + W2 < A U1 <= t.
+
+    This is exactly the dependence rule of H. Every node rescales its left
+    part once, so the fold costs O(n * depth) big-integer operations.
+    """
+    order = gluing_preorder(h)
+    if order is None:
+        return None
+    w = [0] * h.n
+    parts = []                      # (vertex mask, t, W) per folded subtree
+    for x in reversed(order):
+        if isinstance(x, HLeaf):
+            parts.append((0, 0 if x.base.edge_masks else 1, 0))
+            continue
+        v1, t1, _ = parts.pop()
+        v2, t2, w2 = parts.pop()
+        p = h.position(x)
+        if not v1 and t1:
+            parts.append((v2 | 1 << p, t2, w2))
+            continue
+        left = list(bits(v1))
+        k = 1 + sum(1 for i in left if not w[i])
+        a = w2 + 1
+        u1 = 0
+        for i in left:
+            ui = k * w[i] or 1
+            u1 += ui
+            w[i] = a * ui
+        w[p] = a * (u1 - k * t1) + t2
+        parts.append((v1 | v2 | 1 << p, a * u1 + t2, a * u1 + w[p] + w2))
+    _, t, _ = parts.pop()
+    return ThresholdWitness(tuple(map(Fraction, w)), Fraction(t))
 
 
 def _incomparable_pair(h: Hypergraph, minimal: tuple[int, ...]) -> Optional[AsummabilityWitness]:
@@ -370,10 +449,7 @@ def _lp_threshold_witness(h: Hypergraph, minimal: tuple[int, ...]) -> Optional[T
     sol = solve_nonnegative_feasibility(rows, n + 1)
     if sol is None:
         return None
-    witness = ThresholdWitness(tuple(sol[:n]), sol[n])
-    if not witness.verify(h):
-        raise ThresholdError("threshold witness failed its own verification")
-    return witness
+    return _verified(ThresholdWitness(tuple(sol[:n]), sol[n]), h)
 
 
 def is_threshold_hypergraph(h: Hypergraph) -> bool:

@@ -126,6 +126,15 @@ def brute_is_threshold(h: Hypergraph, max_weight: int = 8) -> bool:
     return False
 
 
+def separates_mask_by_mask(h: Hypergraph, wint, tint) -> bool:
+    """w(X) >= t exactly on the dependent X, one subset at a time."""
+    for x in range(1 << h.n):
+        weight = sum(w for i, w in enumerate(wint) if x >> i & 1)
+        if (weight >= tint) != any(e & x == e for e in h.edge_masks):
+            return False
+    return True
+
+
 def brute_minimum_dominating(g: Graph, variant: str):
     """(size, witness) by scanning subsets in increasing size, or None."""
     n = g.n

@@ -1,7 +1,8 @@
 """In-class ``dominate`` and ``cwd`` runs decide H- and co-H-freeness with
 the pair tests alone, in-class ``decompose`` runs certify 1-Spernerness
 from the gluing tree without the pairwise scan, ``hyp-check`` refutes
-irregular inputs without the LP, and ``ThresholdWitness.verify`` builds no
+irregular inputs without the LP, 1-Sperner inputs get their threshold
+certificate without the LP, and ``ThresholdWitness.verify`` builds no
 2^n table above its exhaustive cap."""
 
 import json
@@ -16,13 +17,17 @@ import sperner.cli as cli
 import sperner.graphs as graphs
 import sperner.hypergraph as hypergraph
 import sperner.threshold as threshold
+from sperner.bitset import minimal_masks
 from sperner.domination import brute_force, is_dominating
 from sperner.generators import (random_one_sperner, random_split_h_free,
                                 random_split_hbar_free)
 from sperner.graphs import edge_clique_split_of, pattern, vertex_clique_split_of
-from sperner.hypergraph import Hypergraph
-from sperner.textio import write_graph, write_hypergraph
+from sperner.hypergraph import Hypergraph, is_one_sperner
+from sperner.textio import threshold_witness_to_text, write_graph, write_hypergraph
 from sperner.threshold import ThresholdWitness, threshold_witness
+
+from oracles import brute_is_regular, separates_mask_by_mask
+from test_regularity_pretest import sperner_families
 
 
 class PatternSearchCalled(Exception):
@@ -175,15 +180,6 @@ def test_verify_family_check_agrees_with_the_exhaustive_check():
             assert wit.verify(h, exhaustive_limit=0) == wit.verify(h), (h, t)
 
 
-def _separates_mask_by_mask(h, wint, tint):
-    """w(X) >= t exactly on the dependent X, one subset at a time."""
-    for x in range(1 << h.n):
-        weight = sum(w for i, w in enumerate(wint) if x >> i & 1)
-        if (weight >= tint) != any(e & x == e for e in h.edge_masks):
-            return False
-    return True
-
-
 def test_exhaustive_check_matches_the_per_mask_rule():
     rng = random.Random(12)
     separating = 0
@@ -200,7 +196,7 @@ def test_exhaustive_check_matches_the_per_mask_rule():
                 wint = [rng.randint(0, 5) for _ in range(n)]
                 tint = rng.randint(0, 3 * n)
             for t in (tint, tint + 1, max(tint - 1, 0)):
-                expected = _separates_mask_by_mask(h, wint, t)
+                expected = separates_mask_by_mask(h, wint, t)
                 assert threshold._separates_all_subsets(h, wint, t) == expected, (h, wint, t)
                 separating += expected
     assert separating >= 36
@@ -247,3 +243,48 @@ def test_hyp_check_refutes_irregular_inputs_without_the_lp(tmp_path, capsys, mon
     path.write_text(write_hypergraph(Hypergraph(range(21), [{i, i + 1} for i in range(20)])))
     assert run_cli(capsys, "hyp-check", str(path)) == (
         2, "", "error: asummability testing capped at 20 vertices\n")
+
+
+def test_threshold_of_one_sperner_inputs_runs_without_the_lp(tmp_path, capsys, monkeypatch):
+    hs = [random_one_sperner(n, random.Random(n)) for n in (1, 4, 9, 12, 16)]
+    paths = []
+    for i, h in enumerate(hs):
+        path = tmp_path / f"h{i}.hyp"
+        path.write_text(write_hypergraph(h))
+        paths.append(str(path))
+    expected = [run_cli(capsys, "hyp-check", p) for p in paths]
+    # exit 1 where the input is not conformal
+    assert all(code in (0, 1) and "threshold: true\n" in out and "2-asummable: true" in out
+               for code, out, _ in expected)
+    # the certificate printed is the one the LP finds
+    assert all(h.edge_masks and 0 not in h.edge_masks for h in hs[1:])
+    for h, (_, out, _) in zip(hs[1:], expected[1:]):
+        lp = threshold._lp_threshold_witness(h, minimal_masks(h.edge_masks))
+        text = threshold_witness_to_text(h, lp)
+        assert "".join(f"  {line}\n" for line in text.splitlines()) in out
+
+    def refuse(*args, **kwargs):
+        raise LPCalled("the LP ran on a 1-Sperner input")
+    monkeypatch.setattr(threshold, "solve_nonnegative_feasibility", refuse)
+    assert [run_cli(capsys, "hyp-check", p) for p in paths] == expected
+    h = random_one_sperner(120, random.Random(3))
+    tw = threshold_witness(h)
+    assert tw is not None and tw.verify(h)
+
+
+def test_regular_inputs_that_are_not_one_sperner_reach_the_lp_once(monkeypatch):
+    # the first family of the sweep over at most five vertices that is
+    # regular and not 1-Sperner ({0, 3} and {1, 2} differ by two on each side)
+    h = Hypergraph(range(4), [{1, 2}, {0, 3}, {1, 3}, {2, 3}])
+    assert h == next(f for f in sperner_families(5)
+                     if not is_one_sperner(f) and brute_is_regular(f))
+    solve = threshold.solve_nonnegative_feasibility
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+    monkeypatch.setattr(threshold, "solve_nonnegative_feasibility", counted)
+    tw = threshold_witness(h)
+    assert tw is not None and tw.verify(h)
+    assert len(calls) == 1
