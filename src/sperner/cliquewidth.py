@@ -14,21 +14,29 @@ right child into (3, 5), where the first label of each pair holds the
 child's z-side vertices; then one add-edges operation is emitted per
 1-entry of the node's M[a,b] matrix between distinct parts (the *-entries
 lie inside a child and the diagonal 1-entries are built by the children).
-The expression length is counted as one token per operator name, label
-literal, and vertex literal, and stays at most 60 per vertex.
+A relabel is emitted only when its source label occurs in the subtree,
+and an add-edges only when both its labels do; the others change nothing
+(see ``build_from_tree``). The expression length is counted as one token
+per operator name, label literal, and vertex literal, and stays at most
+60 per vertex.
+
+``evaluate`` keeps one adjacency mask per leaf position; ``to_graph``
+reads the graph from those masks, and the edge set is built only when
+``edges`` is read.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 from .bitset import bits
-from .decomposition import (DecompLeaf, GraphDecompositionTree,
+from .decomposition import (DecompLeaf, DecompNode, GraphDecompositionTree,
                             decompose_bigraph_2p3_free, decompose_cobigraph,
                             decompose_split_h_free, decompose_split_hbar_free,
-                            m_matrix)
+                            fold_tree, m_matrix)
 from .graphs import Graph, LabeledBigraph, LabeledSplitGraph
 
 
@@ -125,34 +133,55 @@ def expression_length(e: KExpression) -> int:
 # Evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LabeledGraphValue:
-    """Evaluation result: vertex ids, their labels, and the edge set."""
+    """Evaluation result: the vertex ids (ints first, then strs, each
+    sorted) and their labels; ``positions`` holds the vertex id of each
+    leaf, left to right, and ``adj`` per position the mask of the adjacent
+    positions. The edge set ``edges`` is built on first read."""
     vertices: tuple[VertexId, ...]
     labels: dict
-    edges: frozenset
+    positions: tuple[VertexId, ...]
+    adj: tuple[int, ...]
+
+    @cached_property
+    def edges(self) -> frozenset:
+        ids = self.positions
+        # -(2 << p) keeps the bits above p: each edge once, from its lower end
+        return frozenset(frozenset((ids[p], ids[q]))
+                         for p, m in enumerate(self.adj) for q in bits(m & -(2 << p)))
 
     def to_graph(self) -> Graph:
-        """As a Graph; requires the vertex ids to be exactly 0..n-1."""
-        ids = sorted(self.vertices, key=lambda v: (isinstance(v, str), v))
-        if ids != list(range(len(ids))):
+        """As a Graph; requires the vertex ids to be exactly 0..n-1. Each
+        position's adjacency mask is moved to its vertex id."""
+        n = len(self.vertices)
+        if self.vertices != tuple(range(n)):
             raise ExpressionError("vertex ids are not contiguous 0-based integers")
-        return Graph(len(ids), [tuple(sorted(e)) for e in self.edges])
+        ids = self.positions
+        adj = [0] * n
+        for p, m in enumerate(self.adj):
+            row = 0
+            for q in bits(m):
+                row |= 1 << ids[q]
+            adj[ids[p]] = row
+        return Graph.from_adj(adj)
 
 
 def evaluate(e: KExpression, k: Optional[int] = None) -> LabeledGraphValue:
     """Standard semantics; duplicate vertex ids and out-of-range labels error."""
-    labels, edges = _eval(e)
+    ids, label_at, adj = _eval(e)
+    labels = dict(zip(ids, label_at))
     if k is not None:
         bad = [v for v, l in labels.items() if l > k]
         if bad:
             raise ExpressionError(f"label out of range 1..{k} on vertices {bad}")
     vs = tuple(sorted(labels, key=lambda v: (isinstance(v, str), v)))
-    return LabeledGraphValue(vs, labels, edges)
+    return LabeledGraphValue(vs, labels, tuple(ids), tuple(adj))
 
 
-def _eval(e: KExpression) -> tuple[dict, frozenset]:
-    """Labels in leaf order and the edge set of ``e``.
+def _eval(e: KExpression) -> tuple[list, list, list]:
+    """The vertex id, label and adjacency mask of every leaf position of
+    ``e``.
 
     Leaves are numbered left to right, so every subtree holds a contiguous
     range of positions. A pending subtree is (first position, label ->
@@ -200,10 +229,7 @@ def _eval(e: KExpression) -> tuple[dict, frozenset]:
     for label, m in pending[0][1].items():
         for p in bits(m):
             label_at[p] = label
-    # -(2 << p) keeps the bits above p: each edge once, from its lower end
-    edges = frozenset(frozenset((ids[p], ids[q]))
-                      for p in range(n) for q in bits(adj[p] & -(2 << p)))
-    return dict(zip(ids, label_at)), edges
+    return ids, label_at, adj
 
 
 # ---------------------------------------------------------------------------
@@ -377,32 +403,58 @@ def _cross_add_edges(a: int, b: int) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def build_from_tree(tree: GraphDecompositionTree) -> Optional[KExpression]:
-    """5-expression of the graph a decomposition tree describes.
+# (a, b) -> the cross add-edges of an M[a,b] node, innermost first
+_CROSS_INNERMOST_FIRST = {(a, b): tuple(reversed(_cross_add_edges(a, b)))
+                          for a in (0, 1) for b in (0, 1)}
 
-    Leaves get label 1 on the z-side and 4 on the other side; None for an
-    empty subtree. The label invariant (z-side in {1,2,3}, other side in
+
+def build_from_tree(tree: GraphDecompositionTree) -> Optional[KExpression]:
+    """5-expression of the graph a decomposition tree describes; None for
+    an empty tree.
+
+    Leaves get label 1 on the z-side and 4 on the other side. At a node z
+    gets label 1, the left child is relabeled into (2, 4) and the right
+    child into (3, 5), and each cross 1-entry of M[a,b] becomes an
+    add-edges; the label invariant (z-side in {1,2,3}, other side in
     {4,5}) holds at every level.
+
+    Each subtree's label set is a 5-bit mask (bit i - 1 for label i): a
+    leaf holds one label, a union the OR, a relabel moves a bit.
+    ``rel i j`` is emitted only when label i is present, and ``adde i j``
+    only when labels i and j both are. This changes no value: relabelling
+    an absent label is the identity, and adding edges to an absent label
+    class adds no edge. So the expression evaluates to the same labeled
+    graph as the one with every operator, its labels stay in 1..5, and
+    its length only shrinks.
     """
-    if isinstance(tree, DecompLeaf):
-        if tree.vertex is None:
+
+    def leaf(t: DecompLeaf):
+        if t.vertex is None:
             return None
-        return Leaf(1 if tree.on_z_side else 4, tree.vertex)
-    p = tree.partition
-    acc: KExpression = Leaf(1, p.z)
-    left = build_from_tree(tree.left)
-    if left is not None:
-        for src, dst in _LEFT_RELABELS:
-            left = Relabel(src, dst, left)
-        acc = Union_(acc, left)
-    right = build_from_tree(tree.right)
-    if right is not None:
-        for src, dst in _RIGHT_RELABELS:
-            right = Relabel(src, dst, right)
-        acc = Union_(acc, right)
-    for i, j in reversed(_cross_add_edges(p.a, p.b)):
-        acc = AddEdges(i, j, acc)
-    return acc
+        label = 1 if t.on_z_side else 4
+        return Leaf(label, t.vertex), 1 << label - 1
+
+    def node(t: DecompNode, left, right):
+        p = t.partition
+        acc: KExpression = Leaf(1, p.z)
+        have = 1
+        for sub, relabels in ((left, _LEFT_RELABELS), (right, _RIGHT_RELABELS)):
+            if sub is None:
+                continue
+            e, m = sub
+            for src, dst in relabels:
+                if m >> src - 1 & 1:
+                    e = Relabel(src, dst, e)
+                    m = m ^ 1 << src - 1 | 1 << dst - 1
+            acc = Union_(acc, e)
+            have |= m
+        for i, j in _CROSS_INNERMOST_FIRST[p.a, p.b]:
+            if have >> i - 1 & 1 and have >> j - 1 & 1:
+                acc = AddEdges(i, j, acc)
+        return acc, have
+
+    done = fold_tree(tree, leaf, node)
+    return None if done is None else done[0]
 
 
 def built(tree: GraphDecompositionTree) -> KExpression:

@@ -30,9 +30,12 @@ the H / bigraph case, and mapping the tree back (which swaps the two
 children and the part pairs).
 
 H- and co-H-freeness of a labeled split graph are decided by O(|K|^2)
-pair tests, exact under any split partition because H has only one;
-the 2P3 checks of the two bigraph classes keep the generic 6-vertex
-search, since 2P3 can sit across a bipartition in more than one way.
+pair tests, exact under any split partition because H has only one.
+2P3 can sit across a bipartition in three ways (middles both in B, both
+in A, or one on each side); ``bigraph_two_p3_witness`` tests all three
+under the given bipartition, which makes it exact for every
+bipartition. The generic 6-vertex search runs only to report the
+induced copy in an out-of-class input.
 
 ``GRAPH_CLASSES`` is the one place that maps a class name (the CLI's
 ``--kind``) to its decomposer of unlabeled graphs: the class's partition
@@ -92,8 +95,8 @@ def _middle_pair_witness(g: Graph, side, restrict: int):
     correspondence reduces to."""
     vs = sorted(side)
     for i, u in enumerate(vs):
+        nu = g.adj[u] & restrict
         for v in vs[i + 1:]:
-            nu = g.adj[u] & restrict
             nv = g.adj[v] & restrict
             if popcount(nu & ~nv) >= 2 and popcount(nv & ~nu) >= 2:
                 return (u, v)
@@ -103,6 +106,41 @@ def _middle_pair_witness(g: Graph, side, restrict: int):
 def labeled_two_p3_witness(lb: LabeledBigraph):
     """A labeled 2P3 (middle vertices on the B side), as its two middles."""
     return _middle_pair_witness(lb.g, lb.B, mask_of(lb.A))
+
+
+def bigraph_two_p3_witness(lb: LabeledBigraph):
+    """An induced 2P3 of a bigraph, as its two middles, or None.
+
+    Under the bipartition (A, B), the middles of an induced 2P3 lie
+    * both in B: their A-neighborhoods differ by >= 2 both ways
+      (``labeled_two_p3_witness``);
+    * both in A: the same with the sides exchanged;
+    * u in A and v in B, non-adjacent: two vertices of N(u) and two of
+      N(v) have no edge between them.
+    Every other non-edge of the pattern joins two vertices of one side
+    and holds in every bigraph, so the three cases together are exact.
+    The last case costs O(|A||B| * degree^2) mask operations.
+    """
+    w = labeled_two_p3_witness(lb)
+    if w is None:
+        w = _middle_pair_witness(lb.g, lb.A, mask_of(lb.B))
+    if w is not None:
+        return w
+    adj = lb.g.adj
+    for u in sorted(lb.A):
+        nu = adj[u]
+        if popcount(nu) < 2:
+            continue
+        for v in sorted(lb.B):
+            nv = adj[v]
+            if nu >> v & 1 or popcount(nv) < 2:
+                continue
+            # per x in N(u), the vertices of N(v) that x misses
+            free = [f for f in (nv & ~adj[x] for x in bits(nu)) if popcount(f) >= 2]
+            for i, f in enumerate(free):
+                if any(popcount(f & f2) >= 2 for f2 in free[i + 1:]):
+                    return (u, v)
+    return None
 
 
 def labeled_h_witness(ls: LabeledSplitGraph):
@@ -115,14 +153,15 @@ def labeled_co_h_witness(ls: LabeledSplitGraph):
     return _middle_pair_witness(ls.g, ls.I, mask_of(ls.K))
 
 
-def pattern_witness(ls: LabeledSplitGraph, pair_witness, name: str):
-    """An induced copy of H or co-H in ls.g as ``find_induced`` reports it,
-    or None. ``pair_witness``, the matching O(|K|^2) labeled test, decides;
-    the 6-vertex search only runs once it has found a copy, to produce the
+def pattern_witness(labeled, pair_witness, name: str):
+    """An induced copy of H, co-H or 2P3 in ``labeled.g`` (a labeled split
+    graph or bigraph) as ``find_induced`` reports it, or None.
+    ``pair_witness``, the matching labeled pair test, decides; the
+    6-vertex search only runs once it has found a copy, to produce the
     reported embedding."""
-    if pair_witness(ls) is None:
+    if pair_witness(labeled) is None:
         return None
-    w = find_induced(ls.g, pattern(name))
+    w = find_induced(labeled.g, pattern(name))
     if w is None:
         raise DecompositionError(
             f"the pair test finds an induced {name} that the pattern search does not")
@@ -244,6 +283,25 @@ def iter_nodes(tree: GraphDecompositionTree) -> Iterator[DecompNode]:
             yield t
             stack.append(t.right)
             stack.append(t.left)
+
+
+def fold_tree(tree: GraphDecompositionTree, leaf, node):
+    """Fold a decomposition tree bottom-up on an explicit stack, since deep
+    decompositions exceed the recursion limit: ``leaf(t)`` gives a leaf's
+    result and ``node(t, left, right)`` an inner node's from its
+    children's results."""
+    done = []
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, DecompLeaf):
+            done.append(leaf(t))
+        elif isinstance(t, DecompNode):
+            stack += ((t,), t.right, t.left)
+        else:
+            right = done.pop()
+            done.append(node(t[0], done.pop(), right))
+    return done[0]
 
 
 def tree_vertices(tree: GraphDecompositionTree) -> frozenset:
@@ -368,11 +426,12 @@ def decompose_split_hbar_free(ls: LabeledSplitGraph) -> GraphDecompositionTree:
 
 
 def decompose_bigraph_2p3_free(lb: LabeledBigraph) -> GraphDecompositionTree:
-    """M[0,0]-partition tree of a 2P3-free right-Sperner labeled bigraph."""
+    """M[0,0]-partition tree of a 2P3-free right-Sperner labeled bigraph;
+    2P3-freeness is the three-case pair test of ``bigraph_two_p3_witness``."""
     w = _containment_witness(lb.g, lb.B)
     if w is not None:
         raise DecompositionError("labeled bigraph is not right-Sperner", w)
-    w = find_induced(lb.g, pattern("2P3"))
+    w = pattern_witness(lb, bigraph_two_p3_witness, "2P3")
     if w is not None:
         raise DecompositionError("graph contains an induced 2P3", w)
     return _decompose_core(lb.g, mask_of(lb.A), mask_of(lb.B), 0, 0,
@@ -388,7 +447,7 @@ def decompose_cobigraph(g: Graph) -> GraphDecompositionTree:
     if lb is None:
         raise DecompositionError(
             "complement admits no right-Sperner bipartition (or is not bipartite)")
-    w = find_induced(comp, pattern("2P3"))
+    w = pattern_witness(lb, bigraph_two_p3_witness, "2P3")
     if w is not None:
         raise DecompositionError("graph contains an induced co-2P3", w)
     tree = _decompose_core(comp, mask_of(lb.A), mask_of(lb.B), 0, 0,
@@ -404,13 +463,13 @@ def _transform_complement_tree(tree: GraphDecompositionTree, a: int, b: int
     matrix shape requires exchanging part1 with part2 and part3 with
     part4, which also exchanges the two children.
     """
-    if isinstance(tree, DecompLeaf):
-        return tree
-    p = tree.partition
-    parts = (p.parts[0], p.parts[2], p.parts[1], p.parts[4], p.parts[3])
-    return DecompNode(MPartition(parts, a, b),
-                      _transform_complement_tree(tree.right, a, b),
-                      _transform_complement_tree(tree.left, a, b))
+
+    def node(t: DecompNode, left, right):
+        p = t.partition
+        parts = (p.parts[0], p.parts[2], p.parts[1], p.parts[4], p.parts[3])
+        return DecompNode(MPartition(parts, a, b), right, left)
+
+    return fold_tree(tree, lambda t: t, node)
 
 
 # ---------------------------------------------------------------------------

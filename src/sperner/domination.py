@@ -132,23 +132,17 @@ def dp_dominating_set(e: KExpression) -> DominationResult:
         if not key & full and (best is None or n < best[0]
                                or n == best[0] and _before(w, best[1], nat)):
             best = (n, w)
-    witness = None if best is None else frozenset(by_rank[r] for r in bits(best[1]))
-    if witness is None or not _value_dominated_by(value, witness):
+    # the witness is checked on the evaluated position masks: its closed
+    # neighborhoods must cover every position
+    witness = frozenset(() if best is None else (by_rank[r] for r in bits(best[1])))
+    place = {v: p for p, v in enumerate(value.positions)}
+    cover = 0
+    for v in witness:
+        p = place[v]
+        cover |= value.adj[p] | 1 << p
+    if cover != (1 << len(place)) - 1:
         raise DominationError("dominating set DP found no verified witness")
     return DominationResult("dominating", best[0], witness)
-
-
-def _value_dominated_by(value, witness) -> bool:
-    adj = {v: set() for v in value.vertices}
-    for pair in value.edges:
-        u, v = tuple(pair)
-        adj[u].add(v)
-        adj[v].add(u)
-    covered = set()
-    for v in witness:
-        covered.add(v)
-        covered |= adj[v]
-    return covered == set(value.vertices)
 
 
 def _witness_order(vertices) -> tuple[list, list]:

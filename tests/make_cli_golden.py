@@ -9,6 +9,9 @@ Run from the repository root to rewrite the fixture:
     PYTHONPATH=src python3 tests/make_cli_golden.py
 
 Rewrite it only when a change of CLI output is intended and explained.
+With ``--diff`` the cases are recorded and compared with the committed
+fixture instead: per command, the number of cases whose input files,
+exit code, stdout or stderr changed is printed, and nothing is written.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import os
 import random
 import sys
 import tempfile
+from collections import Counter, defaultdict
 from pathlib import Path
 
 FIXTURE = Path(__file__).with_name("cli_golden.json")
@@ -182,10 +186,46 @@ def record(main) -> list[dict]:
     return out
 
 
+def command_of(argv: list) -> str:
+    """The subcommand of an argv; every global option takes one value."""
+    i = 0
+    while argv[i].startswith("--"):
+        i += 2
+    return argv[i]
+
+
+def diff(old: list, new: list) -> list[str]:
+    """Per command, how many cases changed between two recordings, and in
+    which fields; cases are paired by their place in the recording."""
+    fields = ("argv", "files", "code", "stdout", "stderr")
+    total, changed, by_field = Counter(), Counter(), defaultdict(Counter)
+    for a, b in zip(old, new):
+        cmd = command_of(b["argv"])
+        moved = [f for f in fields if a[f] != b[f]]
+        total[cmd] += 1
+        changed[cmd] += bool(moved)
+        by_field[cmd].update(moved)
+    lines = []
+    if len(old) != len(new):
+        lines.append(f"case count {len(old)} -> {len(new)}; "
+                     f"the first {min(len(old), len(new))} are compared")
+    for cmd in sorted(total):
+        detail = ", ".join(f"{f} {n}" for f, n in by_field[cmd].items())
+        lines.append(f"{cmd}: {changed[cmd]} of {total[cmd]} cases changed"
+                     + (f" ({detail})" if detail else ""))
+    return lines
+
+
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--diff"]):
+        raise SystemExit("usage: make_cli_golden.py [--diff]")
     from sperner.cli import main
     cases = record(main)
-    FIXTURE.write_text("[\n" + ",\n".join(json.dumps(c, sort_keys=True)
-                                             for c in cases) + "\n]\n",
-                       encoding="utf-8")
-    print(f"{len(cases)} cases, {FIXTURE.stat().st_size} bytes", file=sys.stderr)
+    if sys.argv[1:]:
+        committed = json.loads(FIXTURE.read_text(encoding="utf-8"))
+        print("\n".join(diff(committed, cases)))
+    else:
+        FIXTURE.write_text("[\n" + ",\n".join(json.dumps(c, sort_keys=True)
+                                                 for c in cases) + "\n]\n",
+                           encoding="utf-8")
+        print(f"{len(cases)} cases, {FIXTURE.stat().st_size} bytes", file=sys.stderr)

@@ -10,6 +10,9 @@ induced-subgraph containment by trying all injections. The k-expression
 evaluator, printer and parser at the end are the recursive definitions
 the library's stack-based versions replaced, and the domination DP there
 is the witness-tuple table the library's key-and-mask DP replaced. The
+5-expression builder here is the recursive one that emitted every
+relabel and add-edges of the construction, before the library's builder
+left out those on absent labels. The
 random 1-Sperner generator here glues every draw and runs the pairwise
 1-Sperner check on the result, as the library's did before it tested the
 gluing lemma on the parts instead.
@@ -24,6 +27,7 @@ import re
 from sperner.cliquewidth import (AddEdges, ExpressionError, ExpressionParseError,
                                  KExpression, Leaf, Relabel, Union_, VertexId,
                                  postorder)
+from sperner.decomposition import DecompLeaf, m_matrix
 from sperner.hypergraph import Hypergraph, glue, is_one_sperner
 from sperner.graphs import Graph
 
@@ -495,3 +499,33 @@ def dp_table(e: KExpression, k: int) -> dict:
                 _merge(out, (s, d2), n, w)
         tables.append(out)
     return tables[0]
+
+
+# ---------------------------------------------------------------------------
+# Decomposition trees: the 5-expression builder with every operator
+# ---------------------------------------------------------------------------
+# At every node z gets label 1, the left child is relabeled 1->2, 3->2,
+# 5->4 and the right child 1->3, 2->3, 4->5, and one add-edges follows per
+# 1-entry of M[a,b] above the diagonal, whether or not its labels occur.
+# It recurses once per tree level.
+
+def build_from_tree_unpruned(tree):
+    if isinstance(tree, DecompLeaf):
+        if tree.vertex is None:
+            return None
+        return Leaf(1 if tree.on_z_side else 4, tree.vertex)
+    p = tree.partition
+    acc = Leaf(1, p.z)
+    for child, relabels in ((tree.left, ((1, 2), (3, 2), (5, 4))),
+                            (tree.right, ((1, 3), (2, 3), (4, 5)))):
+        sub = build_from_tree_unpruned(child)
+        if sub is not None:
+            for src, dst in relabels:
+                sub = Relabel(src, dst, sub)
+            acc = Union_(acc, sub)
+    mat = m_matrix(p.a, p.b)
+    pairs = sorted((i + 1, j + 1) for i in range(5) for j in range(i + 1, 5)
+                   if mat[i][j] == 1)
+    for i, j in reversed(pairs):
+        acc = AddEdges(i, j, acc)
+    return acc

@@ -9,10 +9,10 @@ import random
 import re
 
 import oracles
-from sperner.cliquewidth import (AddEdges, Leaf, Relabel, Union_, _eval,
+from sperner.cliquewidth import (AddEdges, Leaf, Relabel, Union_,
                                  build_bigraph_2p3_free, build_cobigraph,
                                  build_split_h_free, build_split_hbar_free,
-                                 format_expression, parse_expression)
+                                 evaluate, format_expression, parse_expression)
 from sperner.generators import (random_bigraph_2p3_free, random_split_h_free,
                                 random_split_hbar_free)
 from test_cliquewidth import P4_EXPR_TEXT
@@ -40,6 +40,12 @@ def outcome(fn, *args):
                 getattr(exc, "column", None))
 
 
+def library_eval(e):
+    """``evaluate``'s labels, in leaf order, and its edge set."""
+    value = evaluate(e)
+    return value.labels, value.edges
+
+
 def eval_outcome(fn, e):
     res = outcome(fn, e)
     if res[0] == "ok":
@@ -59,13 +65,13 @@ def check_text(text):
     if want[0] == "ok":
         e = parse_expression(text)
         assert format_expression(e) == want[1]
-        assert eval_outcome(_eval, e) == eval_outcome(oracles._eval, e), text
+        assert eval_outcome(library_eval, e) == eval_outcome(oracles._eval, e), text
     return want[0]
 
 
 def check_expression(e):
     assert format_expression(e) == oracles.format_expression(e)
-    assert eval_outcome(_eval, e) == eval_outcome(oracles._eval, e)
+    assert eval_outcome(library_eval, e) == eval_outcome(oracles._eval, e)
 
 
 def test_builder_output_and_p4_fixture():
@@ -186,5 +192,5 @@ def test_random_expressions_with_repeated_ids():
         e = random_expression(rng, leaves, rng.randint(max(1, leaves - 3), leaves))
         check_expression(e)
         check_text(format_expression(e))
-        errors += eval_outcome(_eval, e)[0] == "error"
+        errors += eval_outcome(library_eval, e)[0] == "error"
     assert errors > 50

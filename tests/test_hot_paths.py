@@ -1,5 +1,6 @@
 """In-class ``dominate`` and ``cwd`` runs decide H- and co-H-freeness with
-the pair tests alone, in-class ``decompose`` runs certify 1-Spernerness
+the pair tests alone, the bigraph classes and their generator decide
+2P3-freeness the same way, in-class ``decompose`` runs certify 1-Spernerness
 from the gluing tree without the pairwise scan, ``hyp-check`` refutes
 irregular inputs without the LP, 1-Sperner inputs get their threshold
 certificate without the LP, and ``ThresholdWitness.verify`` builds no
@@ -19,9 +20,11 @@ import sperner.hypergraph as hypergraph
 import sperner.threshold as threshold
 from sperner.bitset import minimal_masks
 from sperner.domination import brute_force, is_dominating
-from sperner.generators import (random_one_sperner, random_split_h_free,
+from sperner.generators import (random_bigraph_2p3_free, random_cobigraph,
+                                random_one_sperner, random_split_h_free,
                                 random_split_hbar_free)
-from sperner.graphs import edge_clique_split_of, pattern, vertex_clique_split_of
+from sperner.graphs import (Graph, edge_clique_split_of, pattern,
+                            vertex_clique_split_of)
 from sperner.hypergraph import Hypergraph, is_one_sperner
 from sperner.textio import threshold_witness_to_text, write_graph, write_hypergraph
 from sperner.threshold import ThresholdWitness, threshold_witness
@@ -114,15 +117,37 @@ def test_cwd_split_classes_run_without_pattern_search(tmp_path, capsys,
         assert out.startswith("(")
 
 
+def test_bigraph_classes_run_without_pattern_search(tmp_path, capsys,
+                                                    no_pattern_search):
+    rng = random.Random(7)
+    cases = [(kind, make(20, rng)) for _ in range(8) for kind, make in (
+        ("bigraph", lambda size, rng: random_bigraph_2p3_free(size, rng).g),
+        ("cobigraph", random_cobigraph))]
+    for i, (kind, g) in enumerate(cases):
+        path = _write(tmp_path, f"b{i}.graph", g)
+        for command in ("cwd", "decompose"):
+            code, out, err = run_cli(capsys, command, path, "--kind", kind)
+            assert (code, err) == (0, ""), (command, kind, g.n)
+
+
+# 2P3 itself has two three-vertex components, which the bipartition search
+# rejects before the pair test runs; P7 holds an induced 2P3 and is
+# right-Sperner with its odd vertices on the B side
+P7 = Graph(7, [(i, i + 1) for i in range(6)])
+PAIR_TEST_INPUTS = {"bigraph": P7, "cobigraph": P7.complement()}
+
+
 @pytest.mark.parametrize("argv, name", [
     (("dominate", "--method", "dp"), "H"),
     (("decompose", "--kind", "split-H"), "H"),
     (("cwd", "--kind", "split-Hbar"), "co-H"),
+    (("cwd", "--kind", "bigraph"), "2P3"),
+    (("decompose", "--kind", "cobigraph"), "2P3"),
 ])
 def test_pair_test_and_search_disagreeing_is_a_typed_error(tmp_path, capsys,
                                                            monkeypatch, argv, name):
     _rebind_find_induced(monkeypatch, lambda g, pat, cap=7: None)
-    path = _write(tmp_path, "p.graph", pattern(name))
+    path = _write(tmp_path, "p.graph", PAIR_TEST_INPUTS.get(argv[-1], pattern(name)))
     code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
     assert (code, out) == (2, "")
     assert err == (f"error: the pair test finds an induced {name} "
