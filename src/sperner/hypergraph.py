@@ -21,6 +21,15 @@ The central structural facts implemented here:
   subset of f for every such pair (e, f); over all pairs together that
   says U_z is a subset of I_z. So one candidate z costs O(m) word operations,
   and the constituents are read off U_z as masks;
+* conflict lemma: a candidate z that fails refutes more than z. The test
+  fails on a pair (e, f) with e containing z, f avoiding z and e \\ {z}
+  not a subset of f. Take any x in (e \\ {z}) \\ f. Then e contains x, f
+  avoids it, and e \\ {x} still holds z, which f lacks; so the pair
+  fails the test at x too, and x is no gluing vertex. The conflict mask
+  (e \\ {z}) & ~I is the union of these sets over the hyperedges f that
+  avoid z and were read before e, and U & ~f the union over the
+  hyperedges e that contain z and were read before f, so no vertex of
+  either is a gluing vertex;
 * gluing lemma: glue(H1, H2, z) is 1-Sperner iff H1 and H2 both are and
   not (V1 is a hyperedge of H1 and the empty set one of H2). Pairs within
   one side keep their differences. A cross pair {z} + e, V1 + f differs
@@ -204,15 +213,19 @@ def _glue_masks(e1, e2, v1: int, zb: int) -> list[int]:
     return [zb | e for e in e1] + [v1 | f for f in e2]
 
 
-def _split_masks(masks, zb: int) -> Optional[tuple[int, list[int], list[int]]]:
+def _split_masks(masks, zb: int) -> Union[tuple[int, list[int], list[int]], int]:
     """Invert a gluing at the vertex bit ``zb``, on hyperedge masks.
 
     Returns (U_z, E1, E2): E1 holds e \\ {z} for the hyperedges e that
-    contain z, and E2 holds f \\ U_z for the others. Returns None when the
-    masks are not z-decomposable, that is when U_z is not a subset of I_z
-    (see the module docstring). U only grows and I only shrinks as the
-    masks are read, so the first conflict is final and the pass stops
-    there.
+    contain z, and E2 holds f \\ U_z for the others. When the masks are
+    not z-decomposable, that is when U_z is not a subset of I_z (see the
+    module docstring), returns instead the nonzero conflict mask of the
+    first hyperedge that shows it: (e \\ {z}) & ~I when that hyperedge e
+    contains z, U & ~f when it is an f that avoids z, with U and I the
+    running union and intersection. U only grows and I only shrinks as
+    the masks are read, so the first conflict is final and the pass stops
+    there. By the conflict lemma no vertex of the conflict mask is a
+    gluing vertex either.
     """
     u = 0
     i = -1
@@ -220,10 +233,10 @@ def _split_masks(masks, zb: int) -> Optional[tuple[int, list[int], list[int]]]:
         if e & zb:
             e ^= zb
             if e & ~i:
-                return None
+                return e & ~i
             u |= e
         elif u & ~e:
-            return None
+            return u & ~e
         else:
             i &= e
     return u, [e ^ zb for e in masks if e & zb], [f & ~u for f in masks if not f & zb]
@@ -261,7 +274,7 @@ def is_z_decomposable(h: Hypergraph, z: int) -> bool:
 
     Equivalently h is the gluing of two hypergraphs at z.
     """
-    return _split_masks(h.edge_masks, 1 << h.position(z)) is not None
+    return type(_split_masks(h.edge_masks, 1 << h.position(z))) is tuple
 
 
 def split_at(h: Hypergraph, z: int) -> tuple[Hypergraph, Hypergraph]:
@@ -273,7 +286,7 @@ def split_at(h: Hypergraph, z: int) -> tuple[Hypergraph, Hypergraph]:
     """
     zb = 1 << h.position(z)
     split = _split_masks(h.edge_masks, zb)
-    if split is None:
+    if type(split) is not tuple:
         raise HypergraphError(f"not z-decomposable at vertex {z}")
     u, e1, e2 = split
     v2 = ((1 << h.n) - 1) & ~u & ~zb
@@ -318,8 +331,11 @@ def gluing_preorder(h: Hypergraph) -> Optional[list]:
     U_z is a subset of I_z (module docstring), a test that depends only on
     the level's sets. Positions follow the sorted ids, so the lowest bit of
     V that passes the test is the smallest-id gluing vertex of the level,
-    the vertex the definition picks. An explicit stack replaces recursion,
-    so depth is limited by memory only.
+    the vertex the definition picks. A failing candidate drops from the
+    scan both itself and every vertex of its conflict mask, none of which
+    is a gluing vertex by the conflict lemma (module docstring), so the
+    lowest passing bit is found with fewer tests. An explicit stack
+    replaces recursion, so depth is limited by memory only.
 
     The tree itself certifies 1-Spernerness, by the gluing lemma (module
     docstring): each split is exact, so a level is the gluing of its
@@ -336,14 +352,17 @@ def gluing_preorder(h: Hypergraph) -> Optional[list]:
             order.append(_LEAVES[bool(masks)])
             continue
         rest = vm
-        split = None
-        while rest and split is None:
+        while rest:
             zb = rest & -rest
             split = _split_masks(masks, zb)
-            rest ^= zb
-        if split is None or split[0] in split[1] and 0 in split[2]:
+            if type(split) is tuple:
+                break
+            rest &= ~(zb | split)
+        else:
             return None
         u, e1, e2 = split
+        if u in e1 and 0 in e2:
+            return None
         order.append(ids[zb.bit_length() - 1])
         todo.append((vm & ~u & ~zb, e2))
         todo.append((u, e1))

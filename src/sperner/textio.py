@@ -56,21 +56,21 @@ def _header(text: str, item: str) -> tuple[int, list]:
 
 
 def read_hypergraph(text: str) -> Hypergraph:
-    """Vertex tokens are looked up in a table of the canonical spellings
-    "0" .. "n-1". A line with any other token, or with a size token other
-    than the canonical count, is read with ``int()`` by
-    ``_checked_vertices``, so other spellings and every error read as the
-    plain integer parse gives them."""
+    """Vertex tokens are looked up in one table from the canonical
+    spellings "0" .. "n-1" to their vertex bits. A line with any other
+    token, or with a size token other than the canonical count, is read
+    with ``int()`` by ``_checked_vertices``, so other spellings and every
+    error read as the plain integer parse gives them."""
     n, lines = _header(text, "hyperedge")
-    pos = {str(v): v for v in range(n)}
+    bit_of = {str(v): 1 << v for v in range(n)}
     masks = []
     for ln, toks in lines[1:]:
-        vs = list(map(pos.get, toks[1:]))
-        if None in vs or toks[0] != str(len(vs)):
-            vs = _checked_vertices(toks, n, ln)
-        m = sum(map((1).__lshift__, vs))
+        vbits = list(map(bit_of.get, toks[1:]))
+        if None in vbits or toks[0] != str(len(vbits)):
+            vbits = [1 << v for v in _checked_vertices(toks, n, ln)]
+        m = sum(vbits)
         # the bits of distinct vertices never carry
-        if m.bit_count() != len(vs):
+        if m.bit_count() != len(vbits):
             raise ParseError("repeated vertex inside a hyperedge", ln)
         masks.append(m)
     if len(set(masks)) != len(masks):

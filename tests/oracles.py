@@ -15,7 +15,12 @@ relabel and add-edges of the construction, before the library's builder
 left out those on absent labels. The
 random 1-Sperner generator here glues every draw and runs the pairwise
 1-Sperner check on the result, as the library's did before it tested the
-gluing lemma on the parts instead.
+gluing lemma on the parts instead. The gluing preorder here tests the
+candidate vertices of a level one at a time, lowest first, as the
+library's did before a failing candidate also ruled out the vertices of
+its conflict. The hypergraph reader here looks vertex tokens up as
+positions and shifts them to bits in a second pass, as the library's did
+before it looked up the bits themselves.
 """
 
 from __future__ import annotations
@@ -28,7 +33,8 @@ from sperner.cliquewidth import (AddEdges, ExpressionError, ExpressionParseError
                                  KExpression, Leaf, Relabel, Union_, VertexId,
                                  postorder)
 from sperner.decomposition import DecompLeaf, m_matrix
-from sperner.hypergraph import Hypergraph, glue, is_one_sperner
+from sperner.hypergraph import HLeaf, Hypergraph, glue, is_one_sperner
+from sperner.textio import ParseError, _checked_vertices, _header
 from sperner.graphs import Graph
 
 
@@ -255,6 +261,72 @@ def random_one_sperner_by_check(n: int, rng: random.Random,
         raise RuntimeError("failed to grow a 1-Sperner gluing")
 
     return gen(0, n)
+
+
+def split_at_bit(masks, zb: int):
+    """(U_z, E1, E2) of a gluing at the vertex bit ``zb``, or None when the
+    masks are not z-decomposable (U_z not within I_z)."""
+    u = 0
+    i = -1
+    for e in masks:
+        if e & zb:
+            e ^= zb
+            if e & ~i:
+                return None
+            u |= e
+        elif u & ~e:
+            return None
+        else:
+            i &= e
+    return u, [e ^ zb for e in masks if e & zb], [f & ~u for f in masks if not f & zb]
+
+
+def gluing_preorder_lowest_first(h: Hypergraph):
+    """The gluing decomposition of ``h`` in preorder (gluing vertex ids and
+    ``HLeaf`` items), or None when ``h`` is not 1-Sperner: at every level
+    each vertex is tested with ``split_at_bit``, lowest position first,
+    until one passes."""
+    leaves = (HLeaf(Hypergraph([], [])), HLeaf(Hypergraph([], [set()])))
+    order = []
+    todo = [((1 << h.n) - 1, h.edge_masks)]
+    while todo:
+        vm, masks = todo.pop()
+        if not vm:
+            order.append(leaves[bool(masks)])
+            continue
+        rest = vm
+        split = None
+        while rest and split is None:
+            zb = rest & -rest
+            split = split_at_bit(masks, zb)
+            rest ^= zb
+        if split is None or split[0] in split[1] and 0 in split[2]:
+            return None
+        u, e1, e2 = split
+        order.append(h.vertices[zb.bit_length() - 1])
+        todo.append((vm & ~u & ~zb, e2))
+        todo.append((u, e1))
+    return order
+
+
+def read_hypergraph_by_positions(text: str) -> Hypergraph:
+    """Hypergraph text read with a table from the canonical spellings
+    "0" .. "n-1" to vertex positions, shifted to bits afterwards; other
+    spellings go through the library's integer fallback."""
+    n, lines = _header(text, "hyperedge")
+    pos = {str(v): v for v in range(n)}
+    masks = []
+    for ln, toks in lines[1:]:
+        vs = list(map(pos.get, toks[1:]))
+        if None in vs or toks[0] != str(len(vs)):
+            vs = _checked_vertices(toks, n, ln)
+        m = sum(map((1).__lshift__, vs))
+        if m.bit_count() != len(vs):
+            raise ParseError("repeated vertex inside a hyperedge", ln)
+        masks.append(m)
+    if len(set(masks)) != len(masks):
+        raise ParseError("duplicate hyperedges", lines[0][0])
+    return Hypergraph.from_masks(range(n), masks)
 
 
 # ---------------------------------------------------------------------------

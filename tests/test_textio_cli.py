@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import sperner
+from oracles import read_hypergraph_by_positions
 from sperner.cli import main
+from sperner.generators import random_one_sperner
 from sperner.graphs import Graph
 from sperner.hypergraph import Hypergraph
 from sperner.textio import (ParseError, read_graph, read_hypergraph,
@@ -63,6 +66,36 @@ class TestHypergraphFormat:
         with pytest.raises(ParseError) as exc:
             read_hypergraph(text)
         assert str(exc.value) == message
+
+
+def _read_outcome(read, text):
+    try:
+        return read(text)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+class TestReaderAgainstPositionReader:
+    """The one-table reader against the reader that looked up positions
+    and shifted them to bits in a second pass."""
+
+    def test_seeded_texts(self):
+        rng = random.Random(150)
+        for _ in range(20):
+            text = write_hypergraph(random_one_sperner(150, rng))
+            assert read_hypergraph(text) == read_hypergraph_by_positions(text)
+
+    @pytest.mark.parametrize("line", [
+        "2 0149 3", "3 7 0149 12", "3 +5 0 7", "1 +5",
+        "2 149 149", "3 0 149 149", "2 149 0149",
+    ])
+    def test_fallback_lines(self, line):
+        h = random_one_sperner(150, random.Random(7))
+        _, *rows = write_hypergraph(h).splitlines()
+        rows.insert(len(rows) // 2, line)
+        text = "\n".join([f"150 {len(rows)}", *rows]) + "\n"
+        assert (_read_outcome(read_hypergraph, text)
+                == _read_outcome(read_hypergraph_by_positions, text))
 
 
 class TestGraphFormat:

@@ -71,7 +71,7 @@ def test_threshold_witness_verification_check(tmp_path, capsys, monkeypatch):
 
 
 def test_gluing_vertex_check(monkeypatch):
-    monkeypatch.setattr(hypergraph, "_split_masks", lambda masks, zb: None)
+    monkeypatch.setattr(hypergraph, "_split_masks", lambda masks, zb: zb)
     with pytest.raises(HypergraphError, match="no gluing vertex"):
         hypergraph.decompose(Hypergraph(range(1), [{0}]))
 
