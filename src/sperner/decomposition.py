@@ -19,9 +19,11 @@ side, and the two parts of the other side; (a, b) is (0,1), (1,0), (0,0),
 part2 + part4) stay in their class, so the recursion bottoms out at
 single vertices.
 
-The search for z is purely graph-side: z works iff taking the other-side
-neighborhood as part3 and the distance-two vertices on z's side as part1
-leaves a complete join between part1 and part4. For each class the
+The search for z is the hypergraph one. A level with z-side Z and other
+side O is the hypergraph on Z whose hyperedges are N(k) & Z for k in O;
+z works iff it is a gluing vertex of that hypergraph (U_z within I_z,
+``hypergraph.gluing_split``), with part1 = U_z, part3 = N(z) & O and
+the split's two hyperedge lists as the children's. For each class the
 decomposition of an in-class labeled input always succeeds; when no z
 qualifies, the error reports which class precondition failed.
 
@@ -51,6 +53,7 @@ from .bitset import bits, containment_pair, mask_of, popcount
 from .graphs import (Graph, GraphError, LabeledBigraph, LabeledSplitGraph,
                      find_bipartition, find_induced, find_split_partition,
                      pattern)
+from .hypergraph import fold_preorder, gluing_split
 
 
 class DecompositionError(ValueError):
@@ -335,48 +338,61 @@ def tree_to_text(tree: GraphDecompositionTree, indent: int = 0) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Core recursion (shared by the split and bigraph cases)
+# The core decomposition (shared by the split and bigraph cases)
 # ---------------------------------------------------------------------------
 
 def _decompose_core(g: Graph, zside: int, other: int, a: int, b: int,
                     classname: str) -> GraphDecompositionTree:
-    """Recursive M[a,b]-decomposition; ``zside`` holds z at every level.
+    """M[a,b]-decomposition tree; ``zside`` holds z at every level.
 
     For the split case with (a, b) = (0, 1), zside = I and other = K; for
-    the bigraph case with (0, 0), zside = A and other = B. The recursion
-    relies on the class preconditions having been checked at the entry
-    point: children inherit class membership.
+    the bigraph case with (0, 0), zside = A and other = B. The entry points
+    check the class preconditions; children inherit class membership.
+
+    A level (Z, O) is the hypergraph on Z whose hyperedges are N(k) & Z
+    for k in O, as masks over the graph's vertex ids. For a candidate z,
+    part3 = N(z) & O is the set of k whose hyperedge holds z, part4 the
+    rest of O, and part1 = N(part3) & Z minus z is U_z. The part1-part4
+    join is complete iff every hyperedge of part4 contains U_z, that is
+    iff U_z is a subset of I_z, so z works iff it is a gluing vertex of
+    the level, and the children's hyperedges N(k) & part1 (k in part3) and
+    N(k) & part2 (k in part4) are the split's E1 and E2, in the order of
+    k. ``hypergraph.gluing_split`` finds the lowest such bit, which is the
+    lowest vertex id. The levels are walked on an explicit stack in
+    preorder, so depth is limited by memory only.
     """
-    total = zside | other
-    cnt = popcount(total)
-    if cnt == 0:
-        return DecompLeaf(None, True)
-    if cnt == 1:
-        v = next(bits(total))
-        return DecompLeaf(v, bool(zside >> v & 1))
-    if zside == 0:
-        # two or more vertices all on the other side violates the Sperner
-        # condition of every class handled here
-        raise DecompositionError(
-            f"not in class {classname}: multiple vertices with empty z-side")
-    for z in bits(zside):
-        zb = 1 << z
-        p3 = g.adj[z] & other                      # other-side neighbors of z
-        p4 = other ^ p3
-        p1 = 0                                     # z-side vertices at distance two
-        for k in bits(p3):
-            p1 |= g.adj[k]
-        p1 &= zside & ~zb
-        if any(g.adj[u] & p4 != p4 for u in bits(p1)):
-            continue                               # p1-p4 join incomplete
-        p2 = zside & ~zb & ~p1
-        fs = lambda m: frozenset(bits(m))
-        partition = MPartition((frozenset({z}), fs(p1), fs(p2), fs(p3), fs(p4)), a, b)
-        left = _decompose_core(g, p1, p3, a, b, classname)
-        right = _decompose_core(g, p2, p4, a, b, classname)
-        return DecompNode(partition, left, right)
-    raise DecompositionError(
-        f"no admissible decomposition vertex; input is not in class {classname}")
+    adj = g.adj
+    fs = lambda m: frozenset(bits(m))
+    order: list = []                # preorder: DecompLeaf or MPartition
+    todo = [(zside, other, [adj[k] & zside for k in bits(other)])]
+    while todo:
+        zs, ot, masks = todo.pop()
+        total = zs | ot
+        if not total & (total - 1):
+            order.append(DecompLeaf(total.bit_length() - 1, bool(zs)) if total
+                         else DecompLeaf(None, True))
+            continue
+        found = gluing_split(zs, masks)
+        if found is None:
+            # Also the error of a level with two or more vertices, all on
+            # the other side, which cannot occur: its hyperedges would be
+            # equal and empty. The entry points check that the root's
+            # hyperedges form an antichain (clique-Sperner,
+            # independent-Sperner after complementing, or right-Sperner),
+            # and the children keep it, since e -> e \ {z} and
+            # f -> f \ U_z preserve containment both ways (every such f
+            # contains U_z).
+            raise DecompositionError(
+                f"no admissible decomposition vertex; input is not in class {classname}")
+        zb, (p1, e1, e2) = found
+        z = zb.bit_length() - 1
+        p3 = adj[z] & ot
+        p4 = ot ^ p3
+        p2 = zs & ~zb & ~p1
+        order.append(MPartition((frozenset({z}), fs(p1), fs(p2), fs(p3), fs(p4)), a, b))
+        todo.append((p2, p4, e2))
+        todo.append((p1, p3, e1))
+    return fold_preorder(order, lambda leaf: leaf, DecompNode, DecompLeaf)
 
 
 # ---------------------------------------------------------------------------

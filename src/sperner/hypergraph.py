@@ -318,6 +318,26 @@ DecompositionTree = Union[HLeaf, HNode]
 _LEAVES = (HLeaf(Hypergraph([], [])), HLeaf(Hypergraph([], [set()])))
 
 
+def gluing_split(vm: int, masks) -> Optional[tuple[int, tuple[int, list[int], list[int]]]]:
+    """The lowest bit zb of the vertex mask ``vm`` at which the hyperedge
+    masks are z-decomposable, with their split (U_z, E1, E2) at zb (see
+    ``_split_masks``), or None when no bit of ``vm`` is a gluing vertex.
+
+    A failing candidate drops from the scan both itself and every vertex
+    of its conflict mask, none of which is a gluing vertex by the conflict
+    lemma (module docstring), so the lowest passing bit is found with
+    fewer tests than one per bit below it.
+    """
+    rest = vm
+    while rest:
+        zb = rest & -rest
+        split = _split_masks(masks, zb)
+        if type(split) is tuple:
+            return zb, split
+        rest &= ~(zb | split)
+    return None
+
+
 def gluing_preorder(h: Hypergraph) -> Optional[list]:
     """The gluing decomposition of ``h`` in preorder, or None when ``h`` is
     not 1-Sperner.
@@ -331,11 +351,8 @@ def gluing_preorder(h: Hypergraph) -> Optional[list]:
     U_z is a subset of I_z (module docstring), a test that depends only on
     the level's sets. Positions follow the sorted ids, so the lowest bit of
     V that passes the test is the smallest-id gluing vertex of the level,
-    the vertex the definition picks. A failing candidate drops from the
-    scan both itself and every vertex of its conflict mask, none of which
-    is a gluing vertex by the conflict lemma (module docstring), so the
-    lowest passing bit is found with fewer tests. An explicit stack
-    replaces recursion, so depth is limited by memory only.
+    the vertex the definition picks; ``gluing_split`` finds it. An
+    explicit stack replaces recursion, so depth is limited by memory only.
 
     The tree itself certifies 1-Spernerness, by the gluing lemma (module
     docstring): each split is exact, so a level is the gluing of its
@@ -351,16 +368,10 @@ def gluing_preorder(h: Hypergraph) -> Optional[list]:
         if not vm:
             order.append(_LEAVES[bool(masks)])
             continue
-        rest = vm
-        while rest:
-            zb = rest & -rest
-            split = _split_masks(masks, zb)
-            if type(split) is tuple:
-                break
-            rest &= ~(zb | split)
-        else:
+        found = gluing_split(vm, masks)
+        if found is None:
             return None
-        u, e1, e2 = split
+        zb, (u, e1, e2) = found
         if u in e1 and 0 in e2:
             return None
         order.append(ids[zb.bit_length() - 1])
@@ -384,7 +395,7 @@ def decompose(h: Hypergraph) -> DecompositionTree:
     order = gluing_preorder(h)
     if order is None:
         raise _not_one_sperner(h)
-    return _fold_preorder(order, lambda leaf: leaf, HNode)
+    return fold_preorder(order, lambda leaf: leaf, HNode)
 
 
 def _not_one_sperner(h: Hypergraph) -> HypergraphError:
@@ -397,14 +408,14 @@ def _not_one_sperner(h: Hypergraph) -> HypergraphError:
     return NotOneSpernerError(*bad)
 
 
-def _fold_preorder(order: list, leaf, node):
+def fold_preorder(order: list, leaf, node, leaf_type: type = HLeaf):
     """Fold a tree given in preorder bottom-up, without recursion:
-    ``leaf(x)`` for each HLeaf x and ``node(x, left, right)`` for the other
-    items. Reversed preorder meets both subtrees of an item before the
-    item, the left one last."""
+    ``leaf(x)`` for each item x of ``leaf_type`` and ``node(x, left,
+    right)`` for the other items. Reversed preorder meets both subtrees of
+    an item before the item, the left one last."""
     built: list = []
     for x in reversed(order):
-        if isinstance(x, HLeaf):
+        if isinstance(x, leaf_type):
             built.append(leaf(x))
         else:
             left = built.pop()
@@ -434,7 +445,7 @@ def recompose(tree: DecompositionTree) -> Hypergraph:
         zb = 1 << frame.position(t.z)
         return v1 | v2 | zb, _glue_masks(e1, e2, v1, zb)
 
-    _, masks = _fold_preorder(order, lambda leaf: (0, leaf.base.edge_masks), node)
+    _, masks = fold_preorder(order, lambda leaf: (0, leaf.base.edge_masks), node)
     return Hypergraph.from_masks(frame.vertices, masks)
 
 

@@ -371,8 +371,8 @@ def _check_decomposition(name: str, inst, rep: SweepReport):
     a, b = _CLASSES[name].ab
     tree, g = _CLASSES[name].decompose(inst), _graph_of(inst)
     h_pat = pattern("H") if name == "split-H" else None
-    covered = set()
-    for node in iter_nodes(tree):
+    nodes = list(iter_nodes(tree))
+    for node in nodes:
         p = node.partition
         if (p.a, p.b) != (a, b):
             rep.flag(f"{name} {g}: node tagged M[{p.a},{p.b}], expected M[{a},{b}]")
@@ -381,22 +381,16 @@ def _check_decomposition(name: str, inst, rep: SweepReport):
         if not ok:
             rep.flag(f"{name} {g}: node at z={p.z} violates its matrix at {pair}")
             return
-    # leaves and z's cover the vertex set exactly once
-    def visit(t):
-        if isinstance(t, DecompLeaf):
-            if t.vertex is not None:
-                covered.add(t.vertex)
-            return
-        covered.add(t.partition.z)
-        visit(t.left)
-        visit(t.right)
-    visit(tree)
-    if covered != set(range(g.n)):
-        rep.flag(f"{name} {g}: tree covers {sorted(covered)}")
+    # leaves and z's cover the vertex set exactly once, counted as a multiset
+    leaves = [t for t in [tree] + [c for x in nodes for c in (x.left, x.right)]
+              if isinstance(t, DecompLeaf) and t.vertex is not None]
+    covered = sorted([x.z for x in nodes] + [t.vertex for t in leaves])
+    if covered != list(range(g.n)):
+        rep.flag(f"{name} {g}: tree covers {covered}")
         return
     # children of the split-H decomposition stay in class
     if name == "split-H":
-        for node in iter_nodes(tree):
+        for node in nodes:
             p = node.partition
             for kpart, ipart in ((p.parts[3], p.parts[1]), (p.parts[4], p.parts[2])):
                 sub, ids = g.induced_with_map(kpart | ipart)

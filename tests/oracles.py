@@ -20,7 +20,11 @@ candidate vertices of a level one at a time, lowest first, as the
 library's did before a failing candidate also ruled out the vertices of
 its conflict. The hypergraph reader here looks vertex tokens up as
 positions and shifts them to bits in a second pass, as the library's did
-before it looked up the bits themselves.
+before it looked up the bits themselves. The M[a,b] decomposition core
+here is the recursive join scan the library's replaced, before it found
+z through the hypergraph gluing split, and the gluing chain builder glues
+every candidate and runs the pairwise 1-Sperner check on it, as the
+chain builder of the tests did before it tested the gluing lemma.
 """
 
 from __future__ import annotations
@@ -29,10 +33,12 @@ import itertools
 import random
 import re
 
+from sperner.bitset import bits, popcount
 from sperner.cliquewidth import (AddEdges, ExpressionError, ExpressionParseError,
                                  KExpression, Leaf, Relabel, Union_, VertexId,
                                  postorder)
-from sperner.decomposition import DecompLeaf, m_matrix
+from sperner.decomposition import (DecompLeaf, DecompNode, DecompositionError,
+                                   GraphDecompositionTree, MPartition, m_matrix)
 from sperner.hypergraph import HLeaf, Hypergraph, glue, is_one_sperner
 from sperner.textio import ParseError, _checked_vertices, _header
 from sperner.graphs import Graph
@@ -601,3 +607,77 @@ def build_from_tree_unpruned(tree):
     for i, j in reversed(pairs):
         acc = AddEdges(i, j, acc)
     return acc
+
+
+# ---------------------------------------------------------------------------
+# Decomposition trees: the recursive M[a,b] join scan
+# ---------------------------------------------------------------------------
+# The library's ``decomposition._decompose_core`` as it was before it found
+# z through ``hypergraph.gluing_split``: each z-side vertex is tried lowest
+# first, with its neighbourhood walk and the part1-part4 join test, and
+# both children are decomposed by recursion, once per tree level.
+# tests/test_decomposition_core_oracle.py puts it in the library's place
+# and compares trees as text and errors by type and message.
+
+def decompose_core_join_scan(g: Graph, zside: int, other: int, a: int, b: int,
+                             classname: str) -> GraphDecompositionTree:
+    """Recursive M[a,b]-decomposition; ``zside`` holds z at every level.
+
+    For the split case with (a, b) = (0, 1), zside = I and other = K; for
+    the bigraph case with (0, 0), zside = A and other = B. The recursion
+    relies on the class preconditions having been checked at the entry
+    point: children inherit class membership.
+    """
+    total = zside | other
+    cnt = popcount(total)
+    if cnt == 0:
+        return DecompLeaf(None, True)
+    if cnt == 1:
+        v = next(bits(total))
+        return DecompLeaf(v, bool(zside >> v & 1))
+    if zside == 0:
+        # two or more vertices all on the other side violates the Sperner
+        # condition of every class handled here
+        raise DecompositionError(
+            f"not in class {classname}: multiple vertices with empty z-side")
+    for z in bits(zside):
+        zb = 1 << z
+        p3 = g.adj[z] & other                      # other-side neighbors of z
+        p4 = other ^ p3
+        p1 = 0                                     # z-side vertices at distance two
+        for k in bits(p3):
+            p1 |= g.adj[k]
+        p1 &= zside & ~zb
+        if any(g.adj[u] & p4 != p4 for u in bits(p1)):
+            continue                               # p1-p4 join incomplete
+        p2 = zside & ~zb & ~p1
+        fs = lambda m: frozenset(bits(m))
+        partition = MPartition((frozenset({z}), fs(p1), fs(p2), fs(p3), fs(p4)), a, b)
+        left = decompose_core_join_scan(g, p1, p3, a, b, classname)
+        right = decompose_core_join_scan(g, p2, p4, a, b, classname)
+        return DecompNode(partition, left, right)
+    raise DecompositionError(
+        f"no admissible decomposition vertex; input is not in class {classname}")
+
+
+# ---------------------------------------------------------------------------
+# Gluing chains: the builder with the pairwise 1-Sperner check
+# ---------------------------------------------------------------------------
+
+def gluing_chain_by_pair_check(steps: int, seed: int) -> Hypergraph:
+    """``steps`` gluings of the current hypergraph to a zero-vertex side
+    (no hyperedge, or the empty one) on either hand, drawn at random among
+    the choices that keep it 1-Sperner, each choice glued and tested by
+    the O(m^2) pair scan."""
+    rng = random.Random(seed)
+    h = Hypergraph([], [set()])
+    for z in range(steps):
+        choices = [(empty, left) for empty in (False, True) for left in (False, True)]
+        rng.shuffle(choices)
+        for empty, left in choices:
+            side = Hypergraph([], [set()] if empty else [])
+            glued = glue(h, side, z) if left else glue(side, h, z)
+            if is_one_sperner(glued):
+                h = glued
+                break
+    return h

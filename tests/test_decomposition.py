@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from sperner import sweeps
 from sperner.bitset import bits, mask_of
 from sperner.decomposition import (DecompLeaf, DecompNode, DecompositionError,
                                    clique_sperner_partition,
@@ -366,3 +367,21 @@ def test_derived_hyperedges_are_one_sperner():
             edges.append({ipos[u] for u in bits(ls.g.adj[v] & imask)})
         h = Hypergraph(range(len(ls.I)), edges)
         assert is_one_sperner(h)
+
+
+def test_sweep_flags_a_tree_that_repeats_a_vertex(monkeypatch):
+    """The edge 0-1 as a bigraph decomposes as z = 0 over the leaves 1 and
+    empty. A tree with leaf 1 in place of the empty one passes every
+    matrix check and covers the vertex set as a set, but not exactly
+    once."""
+    lb = LabeledBigraph(Graph(2, [(0, 1)]), frozenset({0}), frozenset({1}))
+    rep = sweeps.SweepReport("graph-decomposition", None, {})
+    assert sweeps._check_decomposition("bigraph", lb, rep) is not None
+    assert rep.disagreements == []
+    tree = decompose_bigraph_2p3_free(lb)
+    assert tree.right == DecompLeaf(None, True)
+    repeated = DecompNode(tree.partition, tree.left, DecompLeaf(1, False))
+    monkeypatch.setitem(sweeps._CLASSES, "bigraph", sweeps._CLASSES["bigraph"]._replace(
+        decompose=lambda inst: repeated))
+    assert sweeps._check_decomposition("bigraph", lb, rep) is None
+    assert rep.disagreements == [f"bigraph {lb.g}: tree covers [0, 1, 1]"]

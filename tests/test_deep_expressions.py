@@ -12,13 +12,14 @@ import sys
 import pytest
 
 import sperner.cli as cli
+from oracles import gluing_chain_by_pair_check
 from sperner.cliquewidth import (AddEdges, Leaf, Relabel, Union_, evaluate,
                                  expression_length, format_expression,
                                  max_label, parse_expression)
 from sperner.domination import (dp_dominating_set, is_dominating,
                                 solve_h_free_split_all)
 from sperner.graphs import Graph, edge_clique_split_of
-from sperner.hypergraph import Hypergraph, glue, is_one_sperner
+from sperner.hypergraph import Hypergraph
 from sperner.textio import write_graph
 
 CHAIN_DEPTH = 5000
@@ -66,19 +67,31 @@ def test_deep_expression_at_default_recursion_limit(make, depth, edges, witness)
 def gluing_chain(steps: int, seed: int) -> Hypergraph:
     """``steps`` gluings of the current hypergraph to a zero-vertex side
     (no hyperedge, or the empty one) on either hand, drawn at random among
-    the choices that keep it 1-Sperner."""
+    the choices that keep it 1-Sperner.
+
+    Vertex z is glued at step z, so ids are bit positions and the gluing
+    runs on hyperedge masks. The current hypergraph and the side are both
+    1-Sperner, so by the gluing lemma a choice is legal iff not (V1 in E1
+    and the empty set in E2)."""
     rng = random.Random(seed)
-    h = Hypergraph([], [set()])
+    edges = {0}
     for z in range(steps):
         choices = [(empty, left) for empty in (False, True) for left in (False, True)]
         rng.shuffle(choices)
+        v = (1 << z) - 1
         for empty, left in choices:
-            side = Hypergraph([], [set()] if empty else [])
-            glued = glue(h, side, z) if left else glue(side, h, z)
-            if is_one_sperner(glued):
-                h = glued
+            if left and not (v in edges and empty):     # glue(h, side, z)
+                edges = {1 << z | e for e in edges} | ({v} if empty else set())
                 break
-    return h
+            if not left and not (empty and 0 in edges):  # glue(side, h, z)
+                edges |= {1 << z} if empty else set()
+                break
+    return Hypergraph.from_masks(range(steps), edges)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 50, 300])
+def test_gluing_chain_matches_the_pair_check_builder(steps):
+    assert gluing_chain(steps, 11) == gluing_chain_by_pair_check(steps, 11)
 
 
 def test_gluing_chain_at_default_recursion_limit(tmp_path, capsys):
