@@ -53,43 +53,37 @@ def is_antichain(masks: Iterable[int]) -> bool:
     return containment_pair(list(masks)) is None
 
 
-def maximal_cliques(adj: list[int], n: int) -> list[int]:
-    """All maximal cliques of the graph given by adjacency masks.
+def iter_maximal_cliques(adj: list[int], n: int) -> Iterator[int]:
+    """Yield every maximal clique of the graph given by adjacency masks.
 
-    Bron-Kerbosch with pivoting. For ``n == 0`` the single maximal clique
-    is the empty set. Result is sorted by (size, mask).
+    Bron-Kerbosch with pivoting, on an explicit stack of (R, P, X)
+    frames, so clique size is limited by memory, not by the recursion
+    limit. A frame's children depend only on the frame, so each is built
+    when its parent is expanded. For ``n == 0`` the single maximal clique
+    is the empty set.
     """
-    out: list[int] = []
-    full = (1 << n) - 1
-
-    def bk(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
-            return
+    stack = [(0, (1 << n) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                yield r
+            continue
         # pivot: vertex of p|x maximizing |p & adj[u]|
-        pivot = -1
-        best = -1
-        pu = p | x
-        while pu:
-            b = pu & -pu
-            u = b.bit_length() - 1
-            pu ^= b
-            c = popcount(p & adj[u])
-            if c > best:
-                best = c
-                pivot = u
-        cand = p & ~adj[pivot]
-        while cand:
-            b = cand & -cand
-            v = b.bit_length() - 1
-            cand ^= b
-            bk(r | b, p & adj[v], x & adj[v])
+        pivot = max(bits(p | x), key=lambda u: popcount(p & adj[u]))
+        children = []
+        for v in bits(p & ~adj[pivot]):
+            b = 1 << v
+            children.append((r | b, p & adj[v], x & adj[v]))
             p ^= b
             x |= b
+        stack.extend(reversed(children))
 
-    bk(0, full, 0)
-    out.sort(key=lambda m: (popcount(m), m))
-    return out
+
+def maximal_cliques(adj: list[int], n: int) -> list[int]:
+    """All maximal cliques (see ``iter_maximal_cliques``), sorted by
+    (size, mask)."""
+    return sorted(iter_maximal_cliques(adj, n), key=lambda m: (popcount(m), m))
 
 
 def connected_components(adj: list[int], vertices: int) -> list[int]:

@@ -30,8 +30,8 @@ from .hypergraph import (HLeaf, Hypergraph, HypergraphError, decompose,
                          is_conformal, is_dually_sperner, is_one_sperner,
                          is_sperner, recompose)
 from .sweeps import SUITES
-from .threshold import (ThresholdError, k_asummability_witness,
-                        threshold_witness)
+from .threshold import (ThresholdError, ThresholdWitness, k_asummability_witness,
+                        threshold_certificate)
 
 
 def _load(path: str) -> str:
@@ -50,12 +50,17 @@ def _emit(args, records: list[dict], text_lines: list[str]):
 
 def cmd_hyp_check(args) -> int:
     h = textio.read_hypergraph(_load(args.path))
-    tw = threshold_witness(h)
-    # A verified certificate (w, t) proves k-asummability for every k: k
-    # independent and k dependent sets with equal characteristic sums would
-    # have equal total weight, below k*t and at least k*t. So only
+    # The threshold step's verified certificate decides 2-asummability too.
+    # A separating (w, t) proves k-asummability for every k: k independent
+    # and k dependent sets with equal characteristic sums would have equal
+    # total weight, below k*t and at least k*t. An irregular input's
+    # incomparable pair is itself a 2-summability witness. So only regular
     # non-threshold inputs are searched (and meet the search's vertex cap).
-    aw = k_asummability_witness(h, 2) if tw is None else None
+    cert = threshold_certificate(h)
+    if isinstance(cert, ThresholdWitness):
+        tw, aw = cert, None
+    else:
+        tw, aw = None, cert if cert is not None else k_asummability_witness(h, 2)
     preds = [
         ("sperner", is_sperner(h), None),
         ("dually-sperner", is_dually_sperner(h), None),

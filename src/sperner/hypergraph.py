@@ -46,7 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
-from .bitset import (bits, containment_pair, mask_of, maximal_cliques,
+from .bitset import (bits, containment_pair, iter_maximal_cliques, mask_of,
                      popcount)
 
 
@@ -525,12 +525,11 @@ def is_conformal(h: Hypergraph) -> bool:
     """Every clique of the co-occurrence graph lies inside some hyperedge.
 
     Checked on maximal cliques only, which suffices because any clique
-    extends to a maximal one. Cliques include the empty set and all
-    singletons, so a conformal hypergraph with vertices must cover each
-    vertex, and a conformal hypergraph must have at least one hyperedge.
+    extends to a maximal one; they are enumerated lazily, so the check
+    stops at the first clique that no hyperedge covers. Cliques include
+    the empty set and all singletons, so a conformal hypergraph with
+    vertices must cover each vertex, and a conformal hypergraph must have
+    at least one hyperedge.
     """
-    adj = co_occurrence_adjacency(h)
-    for c in maximal_cliques(adj, h.n):
-        if not any(m & c == c for m in h.edge_masks):
-            return False
-    return True
+    cliques = iter_maximal_cliques(co_occurrence_adjacency(h), h.n)
+    return all(any(m & c == c for m in h.edge_masks) for c in cliques)

@@ -6,19 +6,21 @@ threshold t exist with w(X) >= t exactly for the dependent X. It is
 k-asummable when no k independent sets and k dependent sets have equal
 characteristic-vector sums.
 
-Thresholdness is decided in three steps. A 1-Sperner input gets an
-integer certificate folded bottom-up over its gluing decomposition (the
-paper's induction, see ``_gluing_threshold_witness``), with no LP. A
-polynomial regularity pre-test comes next: every threshold hypergraph is
-2-asummable, hence regular (any two vertices are comparable, see
-``threshold_witness``), so an incomparable vertex pair refutes
-thresholdness with a verified 2-summability witness and no LP. The
-remaining inputs, regular and not 1-Sperner, go on to exact rational
+Thresholdness is decided in three steps (``threshold_certificate``). A
+1-Sperner input gets an integer certificate folded bottom-up over its
+gluing decomposition (the paper's induction, see
+``_gluing_threshold_witness``), with no LP. A polynomial regularity
+pre-test comes next: every threshold hypergraph is 2-asummable, hence
+regular (any two vertices are comparable), so an incomparable vertex pair
+refutes thresholdness with a verified 2-summability witness and no LP.
+The remaining inputs, regular and not 1-Sperner, go on to exact rational
 linear feasibility over the inclusion-minimal hyperedges and the maximal
 independent sets; strict inequalities are normalized to a gap of one,
 which is valid because any separating pair (w, t) can be scaled. Returned
-witnesses are re-verified: always against the two defining families, and
-additionally against all 2^n subsets for n <= 20.
+certificates are re-verified: a separating (w, t) against the hyperedges
+and the heaviest independent set, which for a 1-Sperner input is folded
+along the gluing tree without dualization (see ``ThresholdWitness.verify``),
+and additionally against all 2^n subsets for n <= 20.
 
 The 2-asummability test walks sum-vector profiles instead of pairs of
 sets: a violating quadruple exists iff there are disjoint masks (I, d)
@@ -28,11 +30,12 @@ constants and yields a witness directly. It reads a 2^n dependence table,
 built word-parallel (see ``dependence_table``), as does the exhaustive
 check of ``ThresholdWitness.verify``.
 
-``sperner hyp-check`` reads 2-asummability off a verified threshold
-certificate instead (the proof is at ``cli.cmd_hyp_check``) and searches
-only non-threshold inputs, so the 20-vertex search cap binds only there.
-``is_k_asummable`` always searches: ``recognition`` and the sweeps use it
-as an oracle independent of the LP.
+``sperner hyp-check`` reads 2-asummability off the threshold step's
+certificate instead (the proof is at ``cli.cmd_hyp_check``): a separating
+(w, t) proves it, an incomparable pair's witness refutes it. Only regular
+non-threshold inputs are searched, so the search and its 20-vertex cap
+bind only there. ``is_k_asummable`` always searches: ``recognition`` and
+the sweeps use it as an oracle independent of the LP.
 """
 
 from __future__ import annotations
@@ -40,11 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Union
 
 from .bitset import bits
 from .bitset import minimal_masks
-from .hypergraph import (HLeaf, Hypergraph, gluing_preorder,
+from .hypergraph import (HLeaf, Hypergraph, fold_preorder, gluing_preorder,
                          maximal_independent_masks)
 from .lp import solve_nonnegative_feasibility
 
@@ -117,7 +120,8 @@ class AsummabilityWitness:
 
 def k_asummability_witness(h: Hypergraph, k: int,
                            cap: int = ASUMMABILITY_CAP) -> Optional[AsummabilityWitness]:
-    """A violating witness for k-asummability, or None if h is k-asummable."""
+    """A verified violating witness for k-asummability, or None if h is
+    k-asummable."""
     if k < 2:
         raise ThresholdError("k must be >= 2")
     if k > cap:
@@ -130,9 +134,13 @@ def k_asummability_witness(h: Hypergraph, k: int,
         if found is None:
             return None
         a1, a2, b1, b2 = found
-        to_set = lambda m: frozenset(h.vertices[i] for i in bits(m))
-        return AsummabilityWitness((to_set(a1), to_set(a2)), (to_set(b1), to_set(b2)))
-    return _three_asummability_core(h, dep)
+        witness = AsummabilityWitness((h.edge_set(a1), h.edge_set(a2)),
+                                      (h.edge_set(b1), h.edge_set(b2)))
+    else:
+        witness = _three_asummability_core(h, dep)
+    if witness is not None and not witness.verify(h):
+        raise ThresholdError("asummability witness failed its own verification")
+    return witness
 
 
 def is_k_asummable(h: Hypergraph, k: int, cap: int = ASUMMABILITY_CAP) -> bool:
@@ -257,23 +265,79 @@ class ThresholdWitness:
     def verify(self, h: Hypergraph, exhaustive_limit: int = 20) -> bool:
         """Exact separation check.
 
-        Family check (complete by monotonicity of non-negative weights):
-        w(e) >= t on minimal hyperedges, w(S) < t on maximal independent
-        sets, each set's integer-scaled weight summed directly. For
-        n <= exhaustive_limit additionally checks all 2^n subsets, from a
-        table of all 2^n subset sums.
+        Family check, complete because non-negative weights are monotone:
+        w(e) >= t on every hyperedge, and w(S) < t for the heaviest
+        independent set S. For a 1-Sperner input the heaviest independent
+        weight is folded along a gluing tree that ``verify`` builds itself
+        (``_heaviest_independent_on_tree``), with no dualization; any other
+        input is read over its maximal independent sets. For n <=
+        exhaustive_limit additionally checks all 2^n subsets, from a table
+        of all 2^n subset sums.
         """
         if any(w < 0 for w in self.weights) or self.threshold < 0:
             return False
-        n = h.n
         wint, tint = _integer_scaled(self.weights, self.threshold)
-        for e in minimal_masks(h.edge_masks):
-            if sum(wint[i] for i in bits(e)) < tint:
-                return False
-        for s in maximal_independent_masks(h):
-            if sum(wint[i] for i in bits(s)) >= tint:
-                return False
-        return n > exhaustive_limit or _separates_all_subsets(h, wint, tint)
+        if any(sum(wint[i] for i in bits(e)) < tint for e in h.edge_masks):
+            return False
+        order = gluing_preorder(h)
+        if order is None:
+            heaviest = _heaviest_independent_by_duals(h, wint)
+        else:
+            heaviest = _heaviest_independent_on_tree(h, order, wint)
+        if heaviest is not None and heaviest >= tint:
+            return False
+        return h.n > exhaustive_limit or _separates_all_subsets(h, wint, tint)
+
+
+def _heaviest_independent_by_duals(h: Hypergraph, wint: list[int]) -> Optional[int]:
+    """The largest w(S) over the maximal independent sets S of h, or None
+    when every set is dependent (h has the empty hyperedge)."""
+    return max((sum(wint[i] for i in bits(s)) for s in maximal_independent_masks(h)),
+               default=None)
+
+
+def _heaviest_independent_on_tree(h: Hypergraph, order: list, wint: list[int]) -> Optional[int]:
+    """The largest w(X) over the independent sets X of h, or None when
+    every set is dependent, folded over the gluing tree ``order`` of h
+    (a ``gluing_preorder``) in O(n) big-integer steps.
+
+    Let H = glue(H1, H2, z) on V1 + V2 + {z}, with W1, W2 the weights of
+    V1, V2, mu1 the least weight on V1 and A(Hi) the heaviest independent
+    weight of Hi (0 for the leaf with no hyperedge; undefined for the leaf
+    {{}}, and terms that use an undefined A are skipped). Hyperedges of H
+    are {z} + e and V1 + f, so X is independent iff not (z in X and X & V1
+    dependent in H1) and not (V1 inside X and X & V2 dependent in H2).
+    Hence, by whether z is in X and whether X & V1 is all of V1:
+
+    * z not in X, X & V1 = V1: X & V2 independent in H2, W1 + A(H2);
+    * z not in X, X & V1 short of V1 (V1 nonempty): X & V2 is free, and
+      the heaviest such X drops the lightest vertex of V1, W1 - mu1 + W2;
+    * z in X, H1 with no hyperedge: nothing more is asked of X, so w(z)
+      plus each of the two terms above;
+    * z in X, H1 with a hyperedge: X & V1 independent in H1, so short of
+      the dependent V1, and X & V2 is free, w(z) + A(H1) + W2.
+
+    A(H) is the largest of the terms that apply. Each bound is attained
+    by the set described, so the fold is exact.
+    """
+    def leaf(x: HLeaf):             # (A, W, mu, has a hyperedge)
+        has = bool(x.base.edge_masks)
+        return None if has else 0, 0, None, has
+
+    def node(z: int, left, right):
+        (a1, w1, mu1, has1), (a2, w2, mu2, has2) = left, right
+        wz = wint[h.position(z)]
+        terms = [t for t in (None if a2 is None else w1 + a2,
+                             None if mu1 is None else w1 - mu1 + w2) if t is not None]
+        if not has1:
+            # w(z) >= 0, so with z free the heaviest X takes it
+            terms = [wz + t for t in terms]
+        elif a1 is not None:
+            terms.append(wz + a1 + w2)
+        mu = min(m for m in (mu1, mu2, wz) if m is not None)
+        return max(terms, default=None), w1 + w2 + wz, mu, has1 or has2
+
+    return fold_preorder(order, leaf, node)[0]
 
 
 def _separates_all_subsets(h: Hypergraph, wint: list[int], tint: int) -> bool:
@@ -294,8 +358,11 @@ def _integer_scaled(weights: tuple[Fraction, ...], t: Fraction) -> tuple[list[in
     return [int(w * scale) for w in weights], int(t * scale)
 
 
-def threshold_witness(h: Hypergraph) -> Optional[ThresholdWitness]:
-    """A separating (w, t), or None when the hypergraph is not threshold.
+def threshold_certificate(h: Hypergraph) -> Union[ThresholdWitness, AsummabilityWitness, None]:
+    """What the threshold step proves about h, verified: a separating
+    (w, t) when h is threshold, the 2-summability witness of an
+    incomparable vertex pair when h is irregular (hence not threshold), or
+    None when h is regular and the LP is infeasible.
 
     Degenerate conventions: with the empty hyperedge every set is
     dependent (w = 0, t = 0); with no hyperedges every set is independent
@@ -329,8 +396,15 @@ def threshold_witness(h: Hypergraph) -> Optional[ThresholdWitness]:
     if pair is not None:
         if not pair.verify(h):
             raise ThresholdError("incomparable-pair witness failed its own verification")
-        return None
+        return pair
     return _lp_threshold_witness(h, minimal)
+
+
+def threshold_witness(h: Hypergraph) -> Optional[ThresholdWitness]:
+    """A verified separating (w, t), or None when the hypergraph is not
+    threshold; see ``threshold_certificate``."""
+    cert = threshold_certificate(h)
+    return cert if isinstance(cert, ThresholdWitness) else None
 
 
 def _verified(witness: ThresholdWitness, h: Hypergraph) -> ThresholdWitness:

@@ -24,7 +24,9 @@ before it looked up the bits themselves. The M[a,b] decomposition core
 here is the recursive join scan the library's replaced, before it found
 z through the hypergraph gluing split, and the gluing chain builder glues
 every candidate and runs the pairwise 1-Sperner check on it, as the
-chain builder of the tests did before it tested the gluing lemma.
+chain builder of the tests did before it tested the gluing lemma. The
+maximal-clique enumeration is the recursive Bron-Kerbosch the library's
+stack-based one replaced.
 """
 
 from __future__ import annotations
@@ -76,6 +78,33 @@ def brute_is_conformal(h: Hypergraph) -> bool:
             if not any(e & x == x for e in h.edge_masks):
                 return False
     return True
+
+
+def brute_maximal_cliques(adj: list[int], n: int) -> list[int]:
+    """All maximal cliques by recursive Bron-Kerbosch with pivoting,
+    sorted by (size, mask)."""
+    out: list[int] = []
+
+    def bk(r: int, p: int, x: int) -> None:
+        if p == 0 and x == 0:
+            out.append(r)
+            return
+        pivot = -1
+        best = -1
+        for u in bits(p | x):
+            c = popcount(p & adj[u])
+            if c > best:
+                best = c
+                pivot = u
+        for v in bits(p & ~adj[pivot]):
+            b = 1 << v
+            bk(r | b, p & adj[v], x & adj[v])
+            p ^= b
+            x |= b
+
+    bk(0, (1 << n) - 1, 0)
+    out.sort(key=lambda m: (popcount(m), m))
+    return out
 
 
 def dependent_masks(h: Hypergraph):

@@ -30,6 +30,7 @@ from sperner.textio import threshold_witness_to_text, write_graph, write_hypergr
 from sperner.threshold import ThresholdWitness, threshold_witness
 
 from oracles import brute_is_regular, separates_mask_by_mask
+from test_hyp_check_certificate import printed_asummability_witness
 from test_regularity_pretest import sperner_families
 
 
@@ -263,11 +264,14 @@ def test_hyp_check_refutes_irregular_inputs_without_the_lp(tmp_path, capsys, mon
     monkeypatch.setattr(threshold, "solve_nonnegative_feasibility", refuse)
     monkeypatch.setattr(threshold, "maximal_independent_masks", refuse)
     assert [run_cli(capsys, "hyp-check", p) for p in paths] == expected
-    # P_21 is refuted without the LP too, and still meets the search's cap
+    # P_21 is refuted without the LP too, and its incomparable pair answers
+    # 2-asummability above the search's 20-vertex cap
+    p21 = Hypergraph(range(21), [{i, i + 1} for i in range(20)])
     path = tmp_path / "p21.hyp"
-    path.write_text(write_hypergraph(Hypergraph(range(21), [{i, i + 1} for i in range(20)])))
-    assert run_cli(capsys, "hyp-check", str(path)) == (
-        2, "", "error: asummability testing capped at 20 vertices\n")
+    path.write_text(write_hypergraph(p21))
+    code, out, err = run_cli(capsys, "hyp-check", str(path))
+    assert (code, err) == (1, "") and "threshold: false\n" in out
+    assert printed_asummability_witness(out).verify(p21)
 
 
 def test_threshold_of_one_sperner_inputs_runs_without_the_lp(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
-"""``hyp-check`` reads 2-asummability off a verified threshold certificate
-and searches only non-threshold inputs; ``dependence_table`` is built
+"""``hyp-check`` reads 2-asummability off the threshold step's verified
+certificate, a separating (w, t) or an incomparable pair's witness, and
+searches only regular non-threshold inputs; ``dependence_table`` is built
 word-parallel and must match the per-set definition."""
 
 import random
@@ -8,13 +9,14 @@ import tracemalloc
 import pytest
 
 import sperner.cli as cli
+import sperner.threshold as threshold
 from sperner.generators import random_one_sperner
 from sperner.hypergraph import Hypergraph
 from sperner.sweeps import antichain_bitmaps
 from sperner.textio import write_hypergraph
-from sperner.threshold import dependence_table
+from sperner.threshold import AsummabilityWitness, dependence_table
 
-from oracles import brute_is_two_asummable
+from oracles import brute_is_regular, brute_is_two_asummable
 
 
 class AsummabilitySearchCalled(Exception):
@@ -39,6 +41,16 @@ def _value(out, name):
     return line[len(prefix):] == "true"
 
 
+def printed_asummability_witness(out: str) -> AsummabilityWitness:
+    """The witness ``hyp-check`` printed under ``2-asummable: false``, the
+    last predicate."""
+    sets = {"independent": [], "dependent": []}
+    for line in out.split("2-asummable: false\n", 1)[1].splitlines():
+        tag, body = line.split(maxsplit=1)
+        sets[tag].append(frozenset(int(v) for v in body.strip("{}").split(",") if v))
+    return AsummabilityWitness(tuple(sets["independent"]), tuple(sets["dependent"]))
+
+
 def _random_families():
     rng = random.Random(20261018)
     for n in range(15):
@@ -58,8 +70,25 @@ def test_dependence_table_matches_the_per_set_rule():
 @pytest.fixture
 def no_asummability_search(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AsummabilitySearchCalled("the 2-asummability search ran on a threshold input")
+        raise AsummabilitySearchCalled(
+            "the 2-asummability search ran on an input a certificate decides")
     monkeypatch.setattr(cli, "k_asummability_witness", refuse)
+
+
+def test_irregular_input_skips_the_search_and_the_table(tmp_path, capsys, monkeypatch,
+                                                       no_asummability_search):
+    def refuse(*args, **kwargs):
+        raise AsummabilitySearchCalled("a dependence table was built for an irregular input")
+    monkeypatch.setattr(threshold, "dependence_table", refuse)
+    irregular = [h for h in _random_families() if not brute_is_regular(h)]
+    irregular += [Hypergraph(range(n), [{i, i + 1} for i in range(n - 1)])
+                  for n in (4, 12, 21, 40)]
+    assert len(irregular) > 20
+    for h in irregular:
+        code, out, err = _hyp_check(tmp_path, capsys, h)
+        assert (code, err) == (1, "")
+        assert not _value(out, "threshold") and not _value(out, "2-asummable")
+        assert printed_asummability_witness(out).verify(h), h
 
 
 @pytest.mark.parametrize("h", [

@@ -15,7 +15,8 @@ from sperner.generators import random_one_sperner
 from sperner.graphs import Graph
 from sperner.hypergraph import Hypergraph, HypergraphError
 from sperner.textio import write_graph, write_hypergraph
-from sperner.threshold import ThresholdError, ThresholdWitness, threshold_witness
+from sperner.threshold import (ThresholdError, ThresholdWitness, k_asummability_witness,
+                               threshold_certificate, threshold_witness)
 
 
 def run_cli(capsys, *argv):
@@ -24,11 +25,24 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+# regular and not threshold (the LP is infeasible), and regular still with
+# isolated vertices added: each is dominated by every other vertex
+REGULAR_NOT_THRESHOLD = [{0, 1}, {0, 2}, {0, 3}, {1, 2, 3, 4}, {1, 2, 3, 5}, {1, 2, 4, 5}]
+
+
 def test_hyp_check_beyond_asummability_cap_exits_2(tmp_path, capsys):
-    path = tmp_path / "p21.hyp"
-    path.write_text("21 20\n" + "".join(f"2 {i} {i + 1}\n" for i in range(20)))
+    h = Hypergraph(range(21), REGULAR_NOT_THRESHOLD)
+    assert threshold_certificate(h) is None
+    path = tmp_path / "h.hyp"
+    path.write_text(write_hypergraph(h))
     assert run_cli(capsys, "hyp-check", str(path)) == (
         2, "", "error: asummability testing capped at 20 vertices\n")
+
+
+def test_asummability_search_beyond_its_cap_raises():
+    p21 = Hypergraph(range(21), [{i, i + 1} for i in range(20)])
+    with pytest.raises(ThresholdError, match="capped at 20 vertices"):
+        k_asummability_witness(p21, 2)
 
 
 def test_decompose_recompose_check(tmp_path, capsys, monkeypatch):
