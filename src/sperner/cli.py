@@ -61,10 +61,12 @@ def cmd_hyp_check(args) -> int:
         tw, aw = cert, None
     else:
         tw, aw = None, cert if cert is not None else k_asummability_witness(h, 2)
+    sperner, dually = is_sperner(h), is_dually_sperner(h)
     preds = [
-        ("sperner", is_sperner(h), None),
-        ("dually-sperner", is_dually_sperner(h), None),
-        ("1-sperner", is_one_sperner(h), None),
+        ("sperner", sperner, None),
+        ("dually-sperner", dually, None),
+        # 1-Sperner: min difference >= 1 (Sperner) and <= 1 (dually Sperner)
+        ("1-sperner", sperner and dually, None),
         ("conformal", is_conformal(h), None),
         ("threshold", tw is not None,
          None if tw is None else textio.threshold_witness_to_text(h, tw).strip()),

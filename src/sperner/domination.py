@@ -11,24 +11,25 @@ Routes:
   k-expression: per subtree and label class it tracks whether the class
   contains a chosen vertex and whether all its vertices are dominated so
   far; add-edges updates domination flags, relabel merges classes, union
-  convolves tables. Exact with at most 4^k states per node.
+  convolves tables. Exact with at most 4^k states per node. It is the
+  general k-expression solver, which the sweeps check against brute force;
+  the H-free split pipeline does not use it.
 * ``split_reduce`` derives the total/connected answers from a minimum
   dominating set on a connected split graph: a minimum dominating set
   inside the clique side always exists, it is connected, and it is total
   unless it has size one (then its smallest neighbor joins it; this one
   variant rule is ``_total_witness``).
 * ``solve_h_free_split_all`` is the full pipeline for H-free split
-  graphs, one pass for all three variants: per component, collapse clique
-  vertices with equal independent-side neighborhoods, drop those whose
-  neighborhood is strictly contained in another's (gamma is preserved),
-  decompose the clique-Sperner residue, build a 5-expression, run the
-  dynamic program once, lift the witness into the clique side, and derive
-  the variants by the same rule; each answer gets one check against g.
-  Membership costs a degree-sequence split test (Hammer and Simeone) and
-  an O(|K|^2) pair test: H has a single split partition (middles in K,
-  ends in I), so g has an induced H iff two clique vertices have
-  independent-side neighborhoods differing by >= 2 both ways, whichever
-  split partition of g is used.
+  graphs, one pass for all three variants: per component, a minimum
+  dominating set inside the clique side is a minimum cover of the
+  1-Sperner hypergraph of clique-side neighborhoods, found along one path
+  of its gluing decomposition (``_component_kside``, ``_min_cover``); the
+  variants follow by the same rule, and each answer gets one check
+  against g. Membership costs a degree-sequence split test (Hammer and
+  Simeone) and an O(|K|^2) pair test: H has a single split partition
+  (middles in K, ends in I), so g has an induced H iff two clique
+  vertices have independent-side neighborhoods differing by >= 2 both
+  ways, whichever split partition of g is used.
 """
 
 from __future__ import annotations
@@ -39,14 +40,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .bitset import bits, is_connected, mask_of, popcount
-from .cliquewidth import (AddEdges, KExpression, Leaf, Relabel,
-                          build_from_tree, evaluate, max_label, postorder)
-from .decomposition import (decompose_split_h_free, labeled_h_witness,
-                            pattern_witness)
+from .cliquewidth import (AddEdges, KExpression, Leaf, Relabel, evaluate,
+                          max_label, postorder)
+from .decomposition import labeled_h_witness, pattern_witness
 # find_induced is not called here; it stays bound because perfbench's
 # tracer test expects this module among the aliases it rebinds
 from .graphs import (Graph, LabeledSplitGraph, find_induced,  # noqa: F401
                      find_split_partition)
+from .hypergraph import gluing_split
 
 VARIANTS = ("dominating", "total", "connected")
 
@@ -329,15 +330,15 @@ def solve_h_free_split(g: Graph, variant: str) -> DominationResult:
 
 
 def solve_h_free_split_all(g: Graph) -> tuple[DominationResult, ...]:
-    """Exact domination for H-free split graphs via clique-width: all
-    three variants, in ``VARIANTS`` order, from one minimum dominating set
-    inside the clique side per component (``_component_kside``). Their
-    union is the dominating answer and, when g is connected, the connected
-    one; ``_total_witness`` per component gives the total one. Total
-    domination is infeasible iff some component is a single vertex. Each
-    answer is checked against g. H-freeness is the pair test (see the
-    module docstring); the 6-vertex search only runs to report an H. An
-    input that is not split, or holds an H, raises ``OutOfClassError``.
+    """Exact domination for H-free split graphs: all three variants, in
+    ``VARIANTS`` order, from one minimum dominating set inside the clique
+    side per component (``_component_kside``). Their union is the
+    dominating answer and, when g is connected, the connected one;
+    ``_total_witness`` per component gives the total one. Total domination
+    is infeasible iff some component is a single vertex. Each answer is
+    checked against g. H-freeness is the pair test (see the module
+    docstring); the 6-vertex search only runs to report an H. An input
+    that is not split, or holds an H, raises ``OutOfClassError``.
     """
     part = find_split_partition(g)
     if part is None:
@@ -345,8 +346,10 @@ def solve_h_free_split_all(g: Graph) -> tuple[DominationResult, ...]:
     w = pattern_witness(LabeledSplitGraph(g, *part), labeled_h_witness, "H")
     if w is not None:
         raise OutOfClassError(f"graph contains an induced H: {w}")
+    # a split partition of g restricted to a component is one of the component
+    imask = mask_of(part[1])
     comps = g.components()
-    dstars = [frozenset(bits(c)) if popcount(c) == 1 else _component_kside(g, c)
+    dstars = [frozenset(bits(c)) if popcount(c) == 1 else _component_kside(g, c, imask)
               for c in comps]
     dominating = _verified(g, "dominating", frozenset().union(*dstars))
     if any(popcount(c) == 1 for c in comps):
@@ -361,33 +364,84 @@ def solve_h_free_split_all(g: Graph) -> tuple[DominationResult, ...]:
     return dominating, total, connected
 
 
-def _component_kside(g: Graph, comp: int) -> frozenset:
+def _component_kside(g: Graph, comp: int, imask: int) -> frozenset:
     """A minimum dominating set of component ``comp`` (two or more
-    vertices) inside its clique side, in g's ids; lifting keeps vertex
-    order, so smallest neighbors stay smallest. Clique vertices with equal
-    independent-side neighborhoods collapse to one and strictly dominated
-    ones drop (gamma is preserved); the clique-Sperner, H-free residue has
-    a 5-expression, on which the dynamic program runs."""
-    sub, ids = g.induced_with_map(bits(comp))
-    K, I = find_split_partition(sub)
-    imask = mask_of(I)
-    # one representative per clique-side neighborhood
+    vertices) of an H-free split graph g inside its clique side, where
+    ``imask`` is the independent side of a split partition (K, I) of g.
+
+    Reduction. Let G be the component, connected, split with partition
+    (K, I) and n >= 2. Some minimum dominating set lies in K: an I vertex
+    of a dominating set may be swapped for any of its neighbors, all in K,
+    which dominates K (a clique) and the swapped vertex, and so everything
+    the latter did. A nonempty D inside K dominates G iff the union of
+    N(d) & I over d in D is I. So gamma(G) = max(1, rho(H_K)), where H_K is
+    the hypergraph on I whose hyperedges are the neighborhoods N(k) & I
+    and rho the fewest hyperedges whose union is the vertex set. Equal
+    neighborhoods keep one representative, the lowest id, and one strictly
+    inside another drops, which leaves rho as it is (a cover may swap it
+    for the larger one). H-freeness makes the kept family 1-Sperner: by the
+    pair test no two neighborhoods differ by two or more both ways, and
+    none contains another. Every vertex of I lies in a kept hyperedge,
+    because G is connected. ``_min_cover`` gives rho(H_K) and a cover; an
+    empty I (G a clique) takes the one kept representative, the lowest
+    vertex.
+    """
     by_hood: dict[int, int] = {}
-    for v in sorted(K):
-        by_hood.setdefault(sub.adj[v] & imask, v)
-    # drop representatives whose neighborhood is strictly inside another's
-    kept = []
+    for v in bits(comp & ~imask):
+        by_hood.setdefault(g.adj[v] & imask, v)
+    masks = []
+    reps = []
     for hood, v in by_hood.items():
         if not any(hood != h2 and hood & h2 == hood for h2 in by_hood):
-            kept.append(v)
-    residue_vs = sorted(set(kept) | I)
-    res, rids = sub.induced_with_map(residue_vs)
-    rpos = {v: i for i, v in enumerate(rids)}
-    rK = frozenset(rpos[v] for v in kept)
-    rI = frozenset(rpos[v] for v in I)
-    ls = LabeledSplitGraph(res, rK, rI)
-    expr = build_from_tree(decompose_split_h_free(ls))
-    gamma = dp_dominating_set(expr)
-    # move the witness into the clique side of the residue, then lift
-    dstar = _kside_minimum_dominating(res, rK, rI, gamma)
-    return frozenset(ids[rids[v]] for v in dstar)
+            masks.append(hood)
+            reps.append(v)
+    return frozenset(_min_cover(comp & imask, masks, reps) or reps[:1])
+
+
+def _min_cover(vm: int, masks: list, reps: list) -> list:
+    """The representatives (``reps[i]`` stands for ``masks[i]``) of a
+    minimum family of hyperedges whose union is ``vm``, for a 1-Sperner
+    hypergraph whose every vertex lies in a hyperedge.
+
+    Theorem. Let H = glue(H1, H2, z) be such a hypergraph, with hyperedges
+    {z} + e for e in E1 and V1 + f for f in E2, split as ``gluing_split``
+    does (V1 = U_z), so every vertex of each part lies in a hyperedge of
+    that part: V1 is the union of E1, and a vertex of V2 lies in some
+    hyperedge avoiding z, whose part in V2 is an f. Some {z} + e exists,
+    since z lies in a hyperedge.
+    1. If V2 is not empty, rho(H) = 1 + rho(H2). Only the V1 + f meet V2,
+       and they cover V2 iff their f cover H2, so a cover needs rho(H2)
+       of them, and one {z} + e for z, which they miss. Conversely a
+       minimum cover of H2, lifted, covers V1 + V2, and one {z} + e adds z.
+    2. Otherwise, rho(H) = 1 when V1 is in E1 (V1 empty included, as E1
+       is then {{}}): {z} + V1 is the vertex set. E1 is then {V1}, as
+       {z} + V1 contains every other {z} + e and H is Sperner.
+    3. Otherwise, rho(H) = 2 when E2 is not empty, that is {{}}: V1 + {}
+       and any {z} + e cover, and no single hyperedge does, as {z} + e
+       misses V1 \\ e and V1 misses z.
+    4. Otherwise every hyperedge holds z, and rho(H) = rho(H1): drop z.
+    So the cover follows one root-to-leaf path of the gluing
+    decomposition, at O(m) mask operations per candidate z, and takes the
+    first {z} + e in list order where rules 1 and 3 leave a choice. A level
+    without a gluing vertex contradicts 1-Spernerness, which the caller
+    decided, and raises ``DominationError``.
+    """
+    cover = []
+    while vm:
+        split = gluing_split(vm, masks)
+        if split is None:
+            raise DominationError("the clique-side hypergraph has no gluing vertex")
+        zb, (u, e1, e2) = split
+        r1 = [r for e, r in zip(masks, reps) if e & zb]
+        r2 = [r for e, r in zip(masks, reps) if not e & zb]
+        v2 = vm & ~u & ~zb
+        if v2:
+            cover.append(r1[0])
+            vm, masks, reps = v2, e2, r2
+        elif e1 == [u]:
+            return cover + r1
+        elif e2:
+            return cover + r1[:1] + r2
+        else:
+            vm, masks, reps = u, e1, r1
+    return cover

@@ -6,7 +6,8 @@ checks: transversals by scanning all subsets, conformality by scanning all
 vertex sets, 2-asummability by enumerating set pairs, regularity by
 scanning every set for every vertex pair, thresholdness by enumerating
 small integer weight vectors, domination by subset scan, and
-induced-subgraph containment by trying all injections. The k-expression
+induced-subgraph containment by trying all injections, and minimum
+hyperedge covers by scanning combinations. The k-expression
 evaluator, printer and parser at the end are the recursive definitions
 the library's stack-based versions replaced, and the domination DP there
 is the witness-tuple table the library's key-and-mask DP replaced. The
@@ -189,6 +190,19 @@ def brute_minimum_dominating(g: Graph, variant: str):
         for comb in itertools.combinations(range(n), size):
             if dominates(g, comb, variant, closed, full):
                 return size, frozenset(comb)
+    return None
+
+
+def brute_min_cover_size(masks, vm: int):
+    """The fewest masks of ``masks`` whose union is ``vm``, by scanning
+    combinations in increasing size, or None when no family covers it."""
+    for size in range(len(masks) + 1):
+        for comb in itertools.combinations(masks, size):
+            union = 0
+            for e in comb:
+                union |= e
+            if union == vm:
+                return size
     return None
 
 

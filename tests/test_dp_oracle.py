@@ -1,8 +1,9 @@
 """The key-and-mask domination DP against the witness-tuple DP it replaced
 (``oracles.dp_table``): the same state table, entry by entry, witness
-order included. Inputs are every expression the H-free split pipeline
-builds on the split graphs of at most seven vertices and on seeded
-19-vertex split graphs of 1-Sperner hypergraphs, random expressions with
+order included. Inputs are the 5-expressions of every component's
+clique-Sperner residue of the H-free split graphs of at most seven
+vertices and of seeded 19-vertex split graphs of 1-Sperner hypergraphs,
+random expressions with
 int ids of 10 and more (``str`` order differs from int order there) or
 with str ids, and the deep chain and comb."""
 
@@ -12,12 +13,13 @@ import pytest
 
 import oracles
 import sperner.domination as domination
-from sperner.bitset import bits
-from sperner.cliquewidth import (AddEdges, Leaf, Relabel, Union_, evaluate,
-                                 max_label)
+from sperner.bitset import bits, mask_of, popcount
+from sperner.cliquewidth import (AddEdges, Leaf, Relabel, Union_,
+                                 build_split_h_free, evaluate, max_label)
 from sperner.domination import OutOfClassError, dp_dominating_set
 from sperner.generators import random_one_sperner, split_graph_structures
-from sperner.graphs import edge_clique_split_of
+from sperner.graphs import (LabeledSplitGraph, edge_clique_split_of,
+                            find_split_partition)
 from test_deep_expressions import rel_adde_chain, union_comb
 
 
@@ -37,41 +39,57 @@ def assert_tables_match(exprs):
         assert dp_table(e) == oracles.dp_table(e, max(1, max_label(e)))
 
 
-def pipeline_expressions(monkeypatch, graphs):
-    """The expressions ``solve_h_free_split_all`` hands the DP on ``graphs``
-    (inputs outside the class are skipped)."""
+def clique_sperner_residue(g, comp):
+    """Component ``comp`` (two or more vertices) of an H-free split graph
+    reduced to one clique vertex per independent-side neighborhood, the
+    lowest, none strictly inside another: a clique-Sperner labeled split
+    graph with the component's domination number."""
+    sub, _ = g.induced_with_map(bits(comp))
+    K, I = find_split_partition(sub)
+    imask = mask_of(I)
+    by_hood = {}
+    for v in sorted(K):
+        by_hood.setdefault(sub.adj[v] & imask, v)
+    kept = {v for hood, v in by_hood.items()
+            if not any(hood != h2 and hood & h2 == hood for h2 in by_hood)}
+    res, rids = sub.induced_with_map(kept | I)
+    rpos = {v: i for i, v in enumerate(rids)}
+    return LabeledSplitGraph(res, frozenset(rpos[v] for v in kept),
+                             frozenset(rpos[v] for v in I))
+
+
+def pipeline_expressions(graphs):
+    """The 5-expression of every component's clique-Sperner residue, over
+    the components with two or more vertices of the graphs of ``graphs``
+    in the H-free split class (the others are skipped)."""
     exprs = []
-    run = domination.dp_dominating_set
-
-    def recording(e):
-        exprs.append(e)
-        return run(e)
-
-    monkeypatch.setattr(domination, "dp_dominating_set", recording)
     for g in graphs:
         try:
             domination.solve_h_free_split_all(g)
         except OutOfClassError:
-            pass
-    monkeypatch.undo()
+            continue
+        exprs += [build_split_h_free(clique_sperner_residue(g, c))
+                  for c in g.components() if popcount(c) > 1]
     return exprs
 
 
-def test_pipeline_expressions_on_small_split_graphs(monkeypatch):
+def test_pipeline_expressions_on_small_split_graphs():
     graphs = [ls.g for n in range(1, 8) for ls in split_graph_structures(n)]
-    exprs = pipeline_expressions(monkeypatch, graphs)
+    exprs = pipeline_expressions(graphs)
     assert len(exprs) > 500
     assert_tables_match(exprs)
 
 
-def test_pipeline_expressions_on_19_vertex_split_graphs(monkeypatch):
+def test_pipeline_expressions_on_19_vertex_split_graphs():
     rng = random.Random(1019)
     graphs = []
     while len(graphs) < 100:
         g = edge_clique_split_of(random_one_sperner(12, rng)).g
         if g.n == 19:
             graphs.append(g)
-    assert_tables_match(pipeline_expressions(monkeypatch, graphs))
+    exprs = pipeline_expressions(graphs)
+    assert len(exprs) >= 100
+    assert_tables_match(exprs)
 
 
 def random_expression(rng, ids):

@@ -1,5 +1,6 @@
 """In-class ``dominate`` and ``cwd`` runs decide H- and co-H-freeness with
-the pair tests alone, the bigraph classes and their generator decide
+the pair tests alone, in-class ``dominate`` builds no 5-expression and runs
+no DP, the bigraph classes and their generator decide
 2P3-freeness the same way, in-class ``decompose`` runs certify 1-Spernerness
 from the gluing tree without the pairwise scan, ``hyp-check`` refutes
 irregular inputs without the LP, 1-Sperner inputs get their threshold
@@ -15,11 +16,14 @@ from fractions import Fraction
 import pytest
 
 import sperner.cli as cli
+import sperner.cliquewidth as cliquewidth
+import sperner.domination as domination
 import sperner.graphs as graphs
 import sperner.hypergraph as hypergraph
 import sperner.threshold as threshold
-from sperner.bitset import minimal_masks
-from sperner.domination import brute_force, is_dominating
+from sperner.bitset import minimal_masks, popcount
+from sperner.cliquewidth import build_split_h_free
+from sperner.domination import brute_force, dp_dominating_set, is_dominating
 from sperner.generators import (random_bigraph_2p3_free, random_cobigraph,
                                 random_one_sperner, random_split_h_free,
                                 random_split_hbar_free)
@@ -30,6 +34,8 @@ from sperner.textio import threshold_witness_to_text, write_graph, write_hypergr
 from sperner.threshold import ThresholdWitness, threshold_witness
 
 from oracles import brute_is_regular, separates_mask_by_mask
+from test_deep_expressions import gluing_chain
+from test_dp_oracle import clique_sperner_residue
 from test_hyp_check_certificate import printed_asummability_witness
 from test_regularity_pretest import sperner_families
 
@@ -38,15 +44,21 @@ class PatternSearchCalled(Exception):
     pass
 
 
-def _rebind_find_induced(monkeypatch, replacement):
-    """Rebind ``find_induced`` on every ``sperner`` module that binds it."""
-    orig = graphs.find_induced
-    holders = [mod for name, mod in list(sys.modules.items())
-               if (name == "sperner" or name.startswith("sperner."))
-               and getattr(mod, "find_induced", None) is orig]
-    assert graphs in holders and len(holders) > 1
+def _rebind(monkeypatch, module, name, replacement) -> list:
+    """Rebind ``module.name`` on every ``sperner`` module that binds it;
+    returns those modules."""
+    orig = getattr(module, name)
+    holders = [mod for mod_name, mod in list(sys.modules.items())
+               if (mod_name == "sperner" or mod_name.startswith("sperner."))
+               and getattr(mod, name, None) is orig]
     for mod in holders:
-        monkeypatch.setattr(mod, "find_induced", replacement)
+        monkeypatch.setattr(mod, name, replacement)
+    return holders
+
+
+def _rebind_find_induced(monkeypatch, replacement):
+    holders = _rebind(monkeypatch, graphs, "find_induced", replacement)
+    assert graphs in holders and len(holders) > 1
 
 
 @pytest.fixture
@@ -88,6 +100,7 @@ def _check_dominate(capsys, path, g, method, exact):
             continue
         assert is_dominating(g, r["witness"], r["variant"])
         assert want is None or r["size"] == want.size
+    return records
 
 
 @pytest.mark.parametrize("method", ["auto", "dp"])
@@ -100,6 +113,50 @@ def test_dominate_in_class_runs_without_pattern_search(tmp_path, capsys,
                         exact=True)
     g = edge_clique_split_of(_big_h()).g
     _check_dominate(capsys, _write(tmp_path, "big.graph", g), g, method, exact=False)
+
+
+class ExpressionPathCalled(Exception):
+    pass
+
+
+def _dp_route_sizes(g):
+    """The three variants' sizes (None when infeasible) from the DP on the
+    5-expression of each component's clique-Sperner residue."""
+    comps = g.components()
+    gammas = [1 if popcount(c) == 1 else
+              dp_dominating_set(build_split_h_free(clique_sperner_residue(g, c))).size
+              for c in comps]
+    total = None if 1 in map(popcount, comps) else sum(max(x, 2) for x in gammas)
+    return [sum(gammas), total, sum(gammas) if len(comps) == 1 else None]
+
+
+def test_dominate_in_class_runs_without_expression_or_dp(tmp_path, capsys, monkeypatch):
+    """In-class ``dominate`` covers the clique-side hypergraph along one
+    gluing path: no 5-expression is built or evaluated and no DP runs, on
+    the benchmark's 19-vertex split graphs and on the split graph of the
+    1,000-step gluing chain, whose sizes equal the DP route's."""
+    rng = random.Random(15)
+    small = []
+    while len(small) < 12:
+        h = random_one_sperner(12, rng)
+        if h.m == 7:
+            small.append(edge_clique_split_of(h).g)
+    assert {g.n for g in small} == {19}
+    assert {g.is_connected() for g in small} == {True, False}
+    chain = edge_clique_split_of(gluing_chain(1000, 11)).g
+    want = _dp_route_sizes(chain)
+
+    for module, name in ((cliquewidth, "build_from_tree"), (cliquewidth, "evaluate"),
+                         (domination, "dp_dominating_set")):
+        def refuse(*args, name=name, **kwargs):
+            raise ExpressionPathCalled(f"{name} ran on an in-class dominate")
+        assert _rebind(monkeypatch, module, name, refuse)
+    for i, g in enumerate(small):
+        _check_dominate(capsys, _write(tmp_path, f"s{i}.graph", g), g, "auto",
+                        exact=True)
+    records = _check_dominate(capsys, _write(tmp_path, "chain.graph", chain), chain,
+                              "auto", exact=False)
+    assert [r.get("size") for r in records] == want
 
 
 def test_cwd_split_classes_run_without_pattern_search(tmp_path, capsys,

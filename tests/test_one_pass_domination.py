@@ -1,6 +1,7 @@
 """The H-free split pipeline answers all three domination variants from one
-minimum dominating set per component: one dynamic-program run per
-component with two or more vertices, whatever the number of variants."""
+minimum dominating set per component: one gluing-path cover of the
+clique-side hypergraph per component with two or more vertices, whatever
+the number of variants."""
 
 import json
 import random
@@ -17,18 +18,6 @@ from sperner.graphs import Graph, find_induced, pattern
 from sperner.textio import write_graph
 
 
-def _count_dp_calls(monkeypatch):
-    calls = []
-    orig = domination.dp_dominating_set
-
-    def counting(e):
-        calls.append(e)
-        return orig(e)
-
-    monkeypatch.setattr(domination, "dp_dominating_set", counting)
-    return calls
-
-
 def _nontrivial_components(g):
     return sum(1 for c in g.components() if popcount(c) > 1)
 
@@ -39,9 +28,10 @@ def _nontrivial_components(g):
     Graph(6, [(1, 2), (1, 3), (1, 4)]),
 ], ids=["connected", "disconnected"])
 def test_dominate_runs_the_dp_once_per_component(tmp_path, capsys, monkeypatch, g):
+    """The ``dp`` method (the in-class pipeline) covers once per component."""
     path = tmp_path / "g.graph"
     path.write_text(write_graph(g))
-    calls = _count_dp_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, domination, "_min_cover")
     assert cli.main(["dominate", str(path)]) == 0
     out = capsys.readouterr().out
     assert len(out.splitlines()) == len(VARIANTS)
@@ -49,7 +39,7 @@ def test_dominate_runs_the_dp_once_per_component(tmp_path, capsys, monkeypatch, 
 
 
 def test_dominate_dp_calls_on_generated_graphs(tmp_path, capsys, monkeypatch):
-    calls = _count_dp_calls(monkeypatch)
+    calls = _count_calls(monkeypatch, domination, "_min_cover")
     rng = random.Random(41)
     seen_disconnected = False
     for i in range(20):
@@ -103,8 +93,9 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_auto_decides_the_class_once(tmp_path, capsys, monkeypatch):
-    """``dominate`` (auto) runs the H pair test once, in the pipeline, and
-    the split partition once more per component with two or more vertices."""
+    """``dominate`` (auto) runs the split partition and the H pair test
+    once each, in the pipeline; each component takes its sides from g's
+    partition."""
     g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4)])
     path = tmp_path / "g.graph"
     path.write_text(write_graph(g))
@@ -113,7 +104,7 @@ def test_auto_decides_the_class_once(tmp_path, capsys, monkeypatch):
     assert cli.main(["--format", "records", "dominate", str(path)]) == 0
     methods = {json.loads(line)["method"] for line in capsys.readouterr().out.splitlines()}
     assert methods == {"dp"}
-    assert (len(splits), len(h_tests)) == (1 + _nontrivial_components(g), 1)
+    assert (len(splits), len(h_tests)) == (1, 1)
 
 
 @pytest.mark.parametrize("g, message", [
@@ -133,7 +124,7 @@ def test_out_of_class_goes_to_brute_force_under_auto(tmp_path, capsys, g, messag
 def test_auto_keeps_a_failed_verification_at_exit_2(tmp_path, capsys, monkeypatch):
     """Only out-of-class input goes to brute force; a witness that fails
     its check is an error."""
-    monkeypatch.setattr(domination, "_component_kside", lambda g, comp: frozenset())
+    monkeypatch.setattr(domination, "_component_kside", lambda g, comp, imask: frozenset())
     path = tmp_path / "g.graph"
     path.write_text(write_graph(Graph(2, [(0, 1)])))
     assert cli.main(["dominate", str(path)]) == 2

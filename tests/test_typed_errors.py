@@ -109,7 +109,7 @@ def test_dp_witness_check(monkeypatch, fake_dp):
 
 @pytest.mark.parametrize("variant", domination.VARIANTS)
 def test_h_free_split_pipeline_check(monkeypatch, variant):
-    monkeypatch.setattr(domination, "_component_kside", lambda g, comp: frozenset())
+    monkeypatch.setattr(domination, "_component_kside", lambda g, comp, imask: frozenset())
     with pytest.raises(DominationError, match="witness fails verification"):
         domination.solve_h_free_split(Graph(2, [(0, 1)]), variant)
 
