@@ -49,10 +49,6 @@ def containment_pair(masks: Sequence[int]) -> Optional[tuple[int, int]]:
     return None
 
 
-def is_antichain(masks: Iterable[int]) -> bool:
-    return containment_pair(list(masks)) is None
-
-
 def iter_maximal_cliques(adj: list[int], n: int) -> Iterator[int]:
     """Yield every maximal clique of the graph given by adjacency masks.
 

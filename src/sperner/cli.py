@@ -28,7 +28,7 @@ from .generators import (random_bigraph_2p3_free, random_one_sperner,
 from .graphs import Graph, GraphError, find_induced  # noqa: F401
 from .hypergraph import (HLeaf, Hypergraph, HypergraphError, decompose,
                          is_conformal, is_dually_sperner, is_one_sperner,
-                         is_sperner, recompose)
+                         is_sperner, preorder, recompose)
 from .sweeps import SUITES
 from .threshold import (ThresholdError, ThresholdWitness, k_asummability_witness,
                         threshold_certificate)
@@ -100,17 +100,13 @@ def cmd_decompose(args) -> int:
 def _hyper_tree_text(tree) -> str:
     """One line per node in preorder, indented two spaces per level."""
     lines = []
-    stack = [(tree, 0)]
-    while stack:
-        t, depth = stack.pop()
+    for t, depth in preorder(tree):
         pad = "  " * depth
         if isinstance(t, HLeaf):
             edges = "{}" if not t.base.edge_masks else "{{}}"
             lines.append(f"{pad}leaf edges={edges}")
         else:
             lines.append(f"{pad}z={t.z}")
-            stack.append((t.right, depth + 1))
-            stack.append((t.left, depth + 1))
     return "\n".join(lines)
 
 

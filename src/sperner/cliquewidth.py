@@ -8,12 +8,14 @@ A k-expression builds a labeled graph with the operations
 * ``rel i j``  - relabel every label-i vertex to j,
 * ``adde i j`` - add every edge between label-i and label-j vertices.
 
-The builders walk a matrix-partition decomposition tree. At every node z
-gets label 1; the left child is relabeled into labels (2, 4) and the
-right child into (3, 5), where the first label of each pair holds the
-child's z-side vertices; then one add-edges operation is emitted per
-1-entry of the node's M[a,b] matrix between distinct parts (the *-entries
-lie inside a child and the diagonal 1-entries are built by the children).
+The builders fold a matrix-partition decomposition tree bottom-up, with
+no recursion: ``hypergraph.preorder`` lists its subtrees and
+``hypergraph.fold_preorder`` folds them. At every node z gets label 1;
+the left child is relabeled into labels (2, 4) and the right child into
+(3, 5), where the first label of each pair holds the child's z-side
+vertices; then one add-edges operation is emitted per 1-entry of the
+node's M[a,b] matrix between distinct parts (the *-entries lie inside a
+child and the diagonal 1-entries are built by the children).
 A relabel is emitted only when its source label occurs in the subtree,
 and an add-edges only when both its labels do; the others change nothing
 (see ``build_from_tree``). The expression length is counted as one token
@@ -36,8 +38,9 @@ from .bitset import bits
 from .decomposition import (DecompLeaf, DecompNode, GraphDecompositionTree,
                             decompose_bigraph_2p3_free, decompose_cobigraph,
                             decompose_split_h_free, decompose_split_hbar_free,
-                            fold_tree, m_matrix)
+                            m_matrix)
 from .graphs import Graph, LabeledBigraph, LabeledSplitGraph
+from .hypergraph import fold_preorder, preorder
 
 
 class ExpressionError(ValueError):
@@ -453,7 +456,7 @@ def build_from_tree(tree: GraphDecompositionTree) -> Optional[KExpression]:
                 acc = AddEdges(i, j, acc)
         return acc, have
 
-    done = fold_tree(tree, leaf, node)
+    done = fold_preorder([t for t, _ in preorder(tree, DecompLeaf)], leaf, node, DecompLeaf)
     return None if done is None else done[0]
 
 

@@ -27,9 +27,13 @@ the split's two hyperedge lists as the children's. For each class the
 decomposition of an in-class labeled input always succeeds; when no z
 qualifies, the error reports which class precondition failed.
 
-The co-H and cobigraph cases are handled by complementing, delegating to
-the H / bigraph case, and mapping the tree back (which swaps the two
-children and the part pairs).
+The co-H and cobigraph cases run the same search on the complement,
+whose levels are those of the H / bigraph case. Complementing flips every
+constrained entry of M[0,1-b] into that of M[1,b] with the two z-side
+parts and the two other-side parts exchanged, so for a = 1 the core lists
+each node's parts as (z, part2, part1, part4, part3) and puts the
+(part2, part4) child on the left; the tree comes out in M[1,b] form with
+no second pass.
 
 H- and co-H-freeness of a labeled split graph are decided by O(|K|^2)
 pair tests, exact under any split partition because H has only one.
@@ -53,7 +57,7 @@ from .bitset import bits, containment_pair, mask_of, popcount
 from .graphs import (Graph, GraphError, LabeledBigraph, LabeledSplitGraph,
                      find_bipartition, find_induced, find_split_partition,
                      pattern)
-from .hypergraph import fold_preorder, gluing_split
+from .hypergraph import fold_preorder, gluing_split, marked_preorder, preorder
 
 
 class DecompositionError(ValueError):
@@ -263,8 +267,10 @@ class DecompLeaf:
     on_z_side: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompNode:
+    """Trees compare and hash by ``hypergraph.marked_preorder`` over their
+    partitions, without recursion."""
     partition: MPartition
     left: "GraphDecompositionTree"
     right: "GraphDecompositionTree"
@@ -273,67 +279,41 @@ class DecompNode:
     def z(self) -> int:
         return self.partition.z
 
+    def __eq__(self, other):
+        return isinstance(other, DecompNode) and _marked(self) == _marked(other)
+
+    def __hash__(self):
+        return hash(_marked(self))
+
 
 GraphDecompositionTree = Union[DecompLeaf, DecompNode]
 
 
+def _marked(tree: GraphDecompositionTree) -> tuple:
+    return marked_preorder(tree, DecompLeaf, lambda t: t.partition)
+
+
 def iter_nodes(tree: GraphDecompositionTree) -> Iterator[DecompNode]:
     """The inner nodes in preorder."""
-    stack = [tree]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, DecompNode):
-            yield t
-            stack.append(t.right)
-            stack.append(t.left)
+    return (t for t, _ in preorder(tree, DecompLeaf) if isinstance(t, DecompNode))
 
 
-def fold_tree(tree: GraphDecompositionTree, leaf, node):
-    """Fold a decomposition tree bottom-up on an explicit stack, since deep
-    decompositions exceed the recursion limit: ``leaf(t)`` gives a leaf's
-    result and ``node(t, left, right)`` an inner node's from its
-    children's results."""
-    done = []
-    stack = [tree]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, DecompLeaf):
-            done.append(leaf(t))
-        elif isinstance(t, DecompNode):
-            stack += ((t,), t.right, t.left)
-        else:
-            right = done.pop()
-            done.append(node(t[0], done.pop(), right))
-    return done[0]
-
-
-def tree_vertices(tree: GraphDecompositionTree) -> frozenset:
-    if isinstance(tree, DecompLeaf):
-        return frozenset() if tree.vertex is None else frozenset({tree.vertex})
-    return tree.partition.vertex_set()
-
-
-def tree_to_text(tree: GraphDecompositionTree, indent: int = 0) -> str:
+def tree_to_text(tree: GraphDecompositionTree) -> str:
     """One node per line in preorder, indented two spaces per level: z,
     the four parts, and the matrix tag."""
     lines = []
-    stack = [(tree, indent)]
-    while stack:
-        t, depth = stack.pop()
+    for t, depth in preorder(tree, DecompLeaf):
         pad = "  " * depth
-        if isinstance(t, DecompLeaf):
-            if t.vertex is None:
-                lines.append(f"{pad}leaf empty\n")
-            else:
-                side = "z-side" if t.on_z_side else "other-side"
-                lines.append(f"{pad}leaf v={t.vertex} ({side})\n")
-            continue
-        p = t.partition
-        partstr = ",".join("{" + ",".join(str(v) for v in sorted(s)) + "}"
-                           for s in p.parts[1:])
-        lines.append(f"{pad}z={p.z} | parts: {partstr} | M[{p.a},{p.b}]\n")
-        stack.append((t.right, depth + 1))
-        stack.append((t.left, depth + 1))
+        if isinstance(t, DecompNode):
+            p = t.partition
+            partstr = ",".join("{" + ",".join(str(v) for v in sorted(s)) + "}"
+                               for s in p.parts[1:])
+            lines.append(f"{pad}z={p.z} | parts: {partstr} | M[{p.a},{p.b}]\n")
+        elif t.vertex is None:
+            lines.append(f"{pad}leaf empty\n")
+        else:
+            side = "z-side" if t.on_z_side else "other-side"
+            lines.append(f"{pad}leaf v={t.vertex} ({side})\n")
     return "".join(lines)
 
 
@@ -346,8 +326,14 @@ def _decompose_core(g: Graph, zside: int, other: int, a: int, b: int,
     """M[a,b]-decomposition tree; ``zside`` holds z at every level.
 
     For the split case with (a, b) = (0, 1), zside = I and other = K; for
-    the bigraph case with (0, 0), zside = A and other = B. The entry points
-    check the class preconditions; children inherit class membership.
+    the bigraph case with (0, 0), zside = A and other = B. For a = 1, g is
+    the complement of the input, decomposed as the M[0,1-b] case (zside =
+    the input's K, or A of the complement's bipartition), and each node is
+    emitted in M[1,b] form: its parts are listed as (z, part2, part1,
+    part4, part3) and the (part2, part4) child is its left one, since
+    complementing flips every constrained entry of M[0,1-b] into that of
+    M[1,b] with the part pairs exchanged. The entry points check the class
+    preconditions; children inherit class membership.
 
     A level (Z, O) is the hypergraph on Z whose hyperedges are N(k) & Z
     for k in O, as masks over the graph's vertex ids. For a candidate z,
@@ -389,6 +375,8 @@ def _decompose_core(g: Graph, zside: int, other: int, a: int, b: int,
         p3 = adj[z] & ot
         p4 = ot ^ p3
         p2 = zs & ~zb & ~p1
+        if a:                       # M[1,b] form: the part pairs and children swap
+            p1, p2, p3, p4, e1, e2 = p2, p1, p4, p3, e2, e1
         order.append(MPartition((frozenset({z}), fs(p1), fs(p2), fs(p3), fs(p4)), a, b))
         todo.append((p2, p4, e2))
         todo.append((p1, p3, e1))
@@ -422,10 +410,10 @@ def decompose_split_h_free(ls: LabeledSplitGraph) -> GraphDecompositionTree:
 def decompose_split_hbar_free(ls: LabeledSplitGraph) -> GraphDecompositionTree:
     """M[1,0]-partition tree of a co-H-free independent-Sperner split graph.
 
-    Complement, decompose as the H-free case (the complement of an
-    independent-Sperner co-H-free split graph is a clique-Sperner H-free
-    split graph with the sides exchanged), and map the tree back; the part
-    pairs and the two children swap. co-H-freeness is decided by the pair
+    The core decomposes the complement as the H-free case (the complement
+    of an independent-Sperner co-H-free split graph is a clique-Sperner
+    H-free split graph with the sides exchanged) and emits the nodes in
+    M[1,0] form (``_decompose_core``). co-H-freeness is decided by the pair
     test of ``labeled_co_h_witness``: an induced co-H has its two
     degree-two vertices in I, whose K-neighborhoods differ by >= 2 both ways.
     """
@@ -435,10 +423,8 @@ def decompose_split_hbar_free(ls: LabeledSplitGraph) -> GraphDecompositionTree:
     w = pattern_witness(ls, labeled_co_h_witness, "co-H")
     if w is not None:
         raise DecompositionError("graph contains an induced co-H", w)
-    comp = ls.g.complement()
-    tree = _decompose_core(comp, mask_of(ls.K), mask_of(ls.I), 0, 1,
+    return _decompose_core(ls.g.complement(), mask_of(ls.K), mask_of(ls.I), 1, 0,
                            "co-H-free independent-Sperner split")
-    return _transform_complement_tree(tree, 1, 0)
 
 
 def decompose_bigraph_2p3_free(lb: LabeledBigraph) -> GraphDecompositionTree:
@@ -456,8 +442,8 @@ def decompose_bigraph_2p3_free(lb: LabeledBigraph) -> GraphDecompositionTree:
 
 def decompose_cobigraph(g: Graph) -> GraphDecompositionTree:
     """M[1,1]-partition tree of a co-2P3-free cobipartite graph whose
-    complement is right-Sperner. Delegates to the bigraph case on the
-    complement and maps the tree back."""
+    complement is right-Sperner. The core decomposes the complement as the
+    bigraph case and emits the nodes in M[1,1] form."""
     comp = g.complement()
     lb = find_right_sperner_bipartition(comp)
     if lb is None:
@@ -466,26 +452,8 @@ def decompose_cobigraph(g: Graph) -> GraphDecompositionTree:
     w = pattern_witness(lb, bigraph_two_p3_witness, "2P3")
     if w is not None:
         raise DecompositionError("graph contains an induced co-2P3", w)
-    tree = _decompose_core(comp, mask_of(lb.A), mask_of(lb.B), 0, 0,
+    return _decompose_core(comp, mask_of(lb.A), mask_of(lb.B), 1, 1,
                            "co-2P3-free right-Sperner-complement cobigraph")
-    return _transform_complement_tree(tree, 1, 1)
-
-
-def _transform_complement_tree(tree: GraphDecompositionTree, a: int, b: int
-                               ) -> GraphDecompositionTree:
-    """Map an M[0,1]/M[0,0] tree of the complement to an M[1,0]/M[1,1] tree.
-
-    Complementing flips constrained matrix entries; restoring the displayed
-    matrix shape requires exchanging part1 with part2 and part3 with
-    part4, which also exchanges the two children.
-    """
-
-    def node(t: DecompNode, left, right):
-        p = t.partition
-        parts = (p.parts[0], p.parts[2], p.parts[1], p.parts[4], p.parts[3])
-        return DecompNode(MPartition(parts, a, b), right, left)
-
-    return fold_tree(tree, lambda t: t, node)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,7 @@ here as well; both are exact and meant for desk-scale inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from .bitset import (bits, containment_pair, iter_maximal_cliques, mask_of,
                      popcount)
@@ -304,12 +304,19 @@ class HLeaf:
             raise HypergraphError("leaf must have zero vertices")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HNode:
-    """Gluing node: recompose as glue(recompose(left), recompose(right), z)."""
+    """Gluing node: recompose as glue(recompose(left), recompose(right), z).
+    Trees compare and hash by ``marked_preorder``, without recursion."""
     z: int
     left: "DecompositionTree"
     right: "DecompositionTree"
+
+    def __eq__(self, other):
+        return isinstance(other, HNode) and marked_preorder(self) == marked_preorder(other)
+
+    def __hash__(self):
+        return hash(marked_preorder(self))
 
 
 DecompositionTree = Union[HLeaf, HNode]
@@ -408,11 +415,37 @@ def _not_one_sperner(h: Hypergraph) -> HypergraphError:
     return NotOneSpernerError(*bad)
 
 
+def preorder(tree, leaf_type: type = HLeaf) -> Iterator[tuple[object, int]]:
+    """(subtree, depth) for every subtree of ``tree`` in preorder, left
+    subtree first, from an explicit stack, so depth is limited by memory
+    only. Items of ``leaf_type`` are leaves and the others inner nodes
+    with ``left`` and ``right``; this serves gluing trees (``HLeaf``) and
+    M[a,b] trees (``decomposition.DecompLeaf``) alike. Together with
+    ``fold_preorder`` it is the one walk over a finished tree."""
+    stack = [(tree, 0)]
+    while stack:
+        item = stack.pop()
+        yield item
+        t, depth = item
+        if not isinstance(t, leaf_type):
+            stack += ((t.right, depth + 1), (t.left, depth + 1))
+
+
+def marked_preorder(tree, leaf_type: type = HLeaf, label=lambda t: t.z) -> tuple:
+    """The leaves of ``tree`` and ``label(node)`` of its inner nodes, in
+    preorder. Leaves and labels differ in type, and a full binary tree is
+    fixed by its preorder with leaves marked, so two trees are equal iff
+    these tuples are."""
+    return tuple(t if isinstance(t, leaf_type) else label(t)
+                 for t, _ in preorder(tree, leaf_type))
+
+
 def fold_preorder(order: list, leaf, node, leaf_type: type = HLeaf):
     """Fold a tree given in preorder bottom-up, without recursion:
     ``leaf(x)`` for each item x of ``leaf_type`` and ``node(x, left,
     right)`` for the other items. Reversed preorder meets both subtrees of
-    an item before the item, the left one last."""
+    an item before the item, the left one last. The items may be labels
+    (``gluing_preorder``) or the subtrees ``preorder`` yields."""
     built: list = []
     for x in reversed(order):
         if isinstance(x, leaf_type):
@@ -430,14 +463,7 @@ def recompose(tree: DecompositionTree) -> Hypergraph:
     z; a z that occurs twice raises HypergraphError. Gluing runs in
     postorder on masks over the sorted z's, without recursion.
     """
-    order = []                      # preorder
-    stack = [tree]
-    while stack:
-        t = stack.pop()
-        order.append(t)
-        if isinstance(t, HNode):
-            stack.append(t.right)
-            stack.append(t.left)
+    order = [t for t, _ in preorder(tree)]
     frame = Hypergraph(t.z for t in order if isinstance(t, HNode))
 
     def node(t: HNode, left, right):

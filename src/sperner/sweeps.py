@@ -16,12 +16,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .bitset import bits, mask_of
 from .cliquewidth import (built, evaluate, expression_length, max_label,
                           parse_expression)
-from .decomposition import (DecompLeaf, decompose_bigraph_2p3_free,
+from .decomposition import (DecompLeaf, DecompNode, decompose_bigraph_2p3_free,
                             decompose_cobigraph, decompose_split_h_free,
                             decompose_split_hbar_free, is_clique_sperner,
                             is_independent_sperner, is_right_sperner,
-                            iter_nodes, labeled_two_p3_witness,
-                            validate_m_partition)
+                            labeled_two_p3_witness, validate_m_partition)
 from .domination import (VARIANTS, brute_force, dp_dominating_set, is_dominating,
                          solve_h_free_split_all)
 from .generators import (hyperedge_families, labeled_graphs,
@@ -34,7 +33,7 @@ from .graphs import (Graph, LabeledSplitGraph, bigraph_of,
                      find_induced, pattern, vertex_clique_split_of)
 from .hypergraph import (Hypergraph, decompose, dual_masks, is_conformal,
                          is_dually_sperner, is_k_sperner, is_one_sperner,
-                         is_sperner, recompose, transversal)
+                         is_sperner, preorder, recompose, transversal)
 from .recognition import check_domishold_equivalences, check_threshold_equivalences
 from .threshold import is_k_asummable, is_threshold_hypergraph
 
@@ -371,7 +370,8 @@ def _check_decomposition(name: str, inst, rep: SweepReport):
     a, b = _CLASSES[name].ab
     tree, g = _CLASSES[name].decompose(inst), _graph_of(inst)
     h_pat = pattern("H") if name == "split-H" else None
-    nodes = list(iter_nodes(tree))
+    items = [t for t, _ in preorder(tree, DecompLeaf)]
+    nodes = [t for t in items if isinstance(t, DecompNode)]
     for node in nodes:
         p = node.partition
         if (p.a, p.b) != (a, b):
@@ -382,9 +382,8 @@ def _check_decomposition(name: str, inst, rep: SweepReport):
             rep.flag(f"{name} {g}: node at z={p.z} violates its matrix at {pair}")
             return
     # leaves and z's cover the vertex set exactly once, counted as a multiset
-    leaves = [t for t in [tree] + [c for x in nodes for c in (x.left, x.right)]
-              if isinstance(t, DecompLeaf) and t.vertex is not None]
-    covered = sorted([x.z for x in nodes] + [t.vertex for t in leaves])
+    leaves = [t.vertex for t in items if isinstance(t, DecompLeaf) and t.vertex is not None]
+    covered = sorted([x.z for x in nodes] + leaves)
     if covered != list(range(g.n)):
         rep.flag(f"{name} {g}: tree covers {covered}")
         return

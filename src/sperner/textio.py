@@ -108,8 +108,7 @@ def write_hypergraph(h: Hypergraph) -> str:
 
 def read_graph(text: str) -> Graph:
     n, lines = _header(text, "edge")
-    edges = []
-    seen = set()
+    adj = [0] * n
     for ln, toks in lines[1:]:
         if len(toks) != 2:
             raise ParseError("edge line must be 'u v'", ln)
@@ -121,11 +120,11 @@ def read_graph(text: str) -> Graph:
             raise ParseError(f"loop at vertex {u}", ln)
         if not (0 <= u < v < n):
             raise ParseError(f"edge ({u},{v}) must satisfy 0 <= u < v < n", ln)
-        if (u, v) in seen:
+        if adj[u] >> v & 1:
             raise ParseError(f"duplicate edge ({u},{v})", ln)
-        seen.add((u, v))
-        edges.append((u, v))
-    return Graph(n, edges)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph.from_adj(adj)
 
 
 def write_graph(g: Graph) -> str:

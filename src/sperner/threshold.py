@@ -449,28 +449,27 @@ def _gluing_threshold_witness(h: Hypergraph) -> Optional[ThresholdWitness]:
     if order is None:
         return None
     w = [0] * h.n
-    parts = []                      # (vertex mask, t, W) per folded subtree
-    for x in reversed(order):
-        if isinstance(x, HLeaf):
-            parts.append((0, 0 if x.base.edge_masks else 1, 0))
-            continue
-        v1, t1, _ = parts.pop()
-        v2, t2, w2 = parts.pop()
-        p = h.position(x)
+
+    def leaf(x: HLeaf):             # (vertex mask, t, W) of a folded subtree
+        return 0, 0 if x.base.edge_masks else 1, 0
+
+    def node(z: int, left, right):
+        (v1, t1, _), (v2, t2, w2) = left, right
+        p = h.position(z)
         if not v1 and t1:
-            parts.append((v2 | 1 << p, t2, w2))
-            continue
-        left = list(bits(v1))
-        k = 1 + sum(1 for i in left if not w[i])
+            return v2 | 1 << p, t2, w2
+        vs = list(bits(v1))
+        k = 1 + sum(1 for i in vs if not w[i])
         a = w2 + 1
         u1 = 0
-        for i in left:
+        for i in vs:
             ui = k * w[i] or 1
             u1 += ui
             w[i] = a * ui
         w[p] = a * (u1 - k * t1) + t2
-        parts.append((v1 | v2 | 1 << p, a * u1 + t2, a * u1 + w[p] + w2))
-    _, t, _ = parts.pop()
+        return v1 | v2 | 1 << p, a * u1 + t2, a * u1 + w[p] + w2
+
+    t = fold_preorder(order, leaf, node)[1]
     return ThresholdWitness(tuple(map(Fraction, w)), Fraction(t))
 
 

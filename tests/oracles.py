@@ -23,9 +23,12 @@ its conflict. The hypergraph reader here looks vertex tokens up as
 positions and shifts them to bits in a second pass, as the library's did
 before it looked up the bits themselves. The M[a,b] decomposition core
 here is the recursive join scan the library's replaced, before it found
-z through the hypergraph gluing split, and the gluing chain builder glues
-every candidate and runs the pairwise 1-Sperner check on it, as the
-chain builder of the tests did before it tested the gluing lemma. The
+z through the hypergraph gluing split; for the two complement classes it
+decomposes as their base class and maps the tree back in a second pass,
+as the library did before its core emitted M[1,b] nodes directly. The
+gluing chain builder glues every candidate and runs the pairwise
+1-Sperner check on it, as the chain builder of the tests did before it
+tested the gluing lemma. The
 maximal-clique enumeration is the recursive Bron-Kerbosch the library's
 stack-based one replaced.
 """
@@ -667,10 +670,15 @@ def decompose_core_join_scan(g: Graph, zside: int, other: int, a: int, b: int,
     """Recursive M[a,b]-decomposition; ``zside`` holds z at every level.
 
     For the split case with (a, b) = (0, 1), zside = I and other = K; for
-    the bigraph case with (0, 0), zside = A and other = B. The recursion
+    the bigraph case with (0, 0), zside = A and other = B. For a = 1, g is
+    the complement of the input: it is decomposed with (0, 1 - b) and
+    the tree mapped back by ``transform_complement_tree``. The recursion
     relies on the class preconditions having been checked at the entry
     point: children inherit class membership.
     """
+    if a == 1:
+        tree = decompose_core_join_scan(g, zside, other, 0, 1 - b, classname)
+        return transform_complement_tree(tree, a, b)
     total = zside | other
     cnt = popcount(total)
     if cnt == 0:
@@ -701,6 +709,23 @@ def decompose_core_join_scan(g: Graph, zside: int, other: int, a: int, b: int,
         return DecompNode(partition, left, right)
     raise DecompositionError(
         f"no admissible decomposition vertex; input is not in class {classname}")
+
+
+def transform_complement_tree(tree: GraphDecompositionTree, a: int, b: int
+                              ) -> GraphDecompositionTree:
+    """Map an M[0,1]/M[0,0] tree of the complement to an M[1,0]/M[1,1] tree.
+
+    Complementing flips constrained matrix entries; restoring the displayed
+    matrix shape requires exchanging part1 with part2 and part3 with
+    part4, which also exchanges the two children.
+    """
+    if isinstance(tree, DecompLeaf):
+        return tree
+    p = tree.partition
+    parts = (p.parts[0], p.parts[2], p.parts[1], p.parts[4], p.parts[3])
+    return DecompNode(MPartition(parts, a, b),
+                      transform_complement_tree(tree.right, a, b),
+                      transform_complement_tree(tree.left, a, b))
 
 
 # ---------------------------------------------------------------------------

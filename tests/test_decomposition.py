@@ -15,7 +15,7 @@ from sperner.decomposition import (DecompLeaf, DecompNode, DecompositionError,
                                    find_right_sperner_bipartition,
                                    independent_sperner_partition, is_clique_sperner,
                                    is_independent_sperner, is_right_sperner,
-                                   iter_nodes, m_matrix, tree_to_text, tree_vertices,
+                                   iter_nodes, m_matrix, tree_to_text,
                                    validate_m_partition)
 from sperner.generators import (random_bigraph_2p3_free, random_split_h_free,
                                 random_split_hbar_free)
@@ -274,8 +274,8 @@ class TestCobigraph:
         g = Graph(2, [(0, 1)]).complement()  # 2K1
         tree = decompose_cobigraph(g)
         _check_tree(g, tree, 1, 1,
-                    mask_of(tree_vertices(tree)) & mask_of(_zside_of(tree)),
-                    mask_of(tree_vertices(tree)) & ~mask_of(_zside_of(tree)))
+                    mask_of(frozenset(range(g.n))) & mask_of(_zside_of(tree)),
+                    mask_of(frozenset(range(g.n))) & ~mask_of(_zside_of(tree)))
 
     def test_rejects_co_2p3(self):
         with pytest.raises(DecompositionError):

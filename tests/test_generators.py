@@ -10,7 +10,7 @@ from sperner.generators import (antichains, bigraph_structures,
                                 split_graph_structures)
 from sperner.graphs import Graph, find_induced, pattern
 from sperner.hypergraph import is_one_sperner
-from sperner.bitset import is_antichain
+from sperner.bitset import containment_pair
 
 
 def test_random_one_sperner_is_one_sperner_and_deterministic():
@@ -60,7 +60,7 @@ def test_antichain_counts_match_dedekind():
         assert len(got) == count
         assert len(set(got)) == count
         for fam in got:
-            assert is_antichain(fam)
+            assert containment_pair(fam) is None
 
 
 def test_hyperedge_family_counts():
