@@ -13,9 +13,9 @@ from .hypergraph import (Hypergraph, HypergraphError, NotOneSpernerError,
                          split_at, transversal)
 from .graphs import (Graph, GraphError, LabeledBigraph, LabeledSplitGraph,
                      bigraph_of, clique_hypergraph,
-                     closed_neighborhood_hypergraph, co_occurrence, complement,
-                     cutset_hypergraph,
-                     dominating_set_hypergraph, edge_clique_split_of,
+                     closed_neighborhood_hypergraph, co_occurrence,
+                     cutset_hypergraph, dominating_set_hypergraph,
+                     edge_clique_split_of,
                      find_bipartition, find_induced, find_split_partition,
                      independent_set_hypergraph, neighborhood_hypergraph,
                      pattern, vertex_clique_split_of, vertex_cover_hypergraph)

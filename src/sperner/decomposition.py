@@ -17,7 +17,10 @@ with rows/columns indexed by the z-singleton, the two parts sharing z's
 side, and the two parts of the other side; (a, b) is (0,1), (1,0), (0,0),
 (1,1) for the four classes respectively. The two children (part1 + part3,
 part2 + part4) stay in their class, so the recursion bottoms out at
-single vertices.
+single vertices. A node is an ``MPartition``: the z-singleton and the
+four parts as vertex masks over graph ids, as the core computes them.
+Constructing one checks its shape, and ``validate_m_partition(g,
+partition)`` checks it against the graph.
 
 The search for z is the hypergraph one. A level with z-side Z and other
 side O is the hypergraph on Z whose hyperedges are N(k) & Z for k in O;
@@ -193,17 +196,24 @@ def m_matrix(a: int, b: int) -> tuple[tuple[object, ...], ...]:
 
 @dataclass(frozen=True)
 class MPartition:
-    """Five ordered parts (z-singleton first) plus the matrix pair (a, b)."""
-    parts: tuple[frozenset, ...]
+    """Five ordered parts (z-singleton first) plus the matrix pair (a, b).
+
+    Each part is a vertex mask over graph ids (bit v for vertex v), as
+    ``Hypergraph.edge_masks`` are over positions. Construction is the
+    shape check: five parts, a one-bit first part, and no overlap, tested
+    with a running OR. ``validate_m_partition`` is the graph check.
+    """
+    parts: tuple[int, ...]
     a: int
     b: int
 
     def __post_init__(self):
         if len(self.parts) != 5:
             raise DecompositionError("an M-partition has exactly five parts")
-        if len(self.parts[0]) != 1:
+        zb = self.parts[0]
+        if zb <= 0 or zb & (zb - 1):
             raise DecompositionError("the first part must be the z-singleton")
-        seen: set = set()
+        seen = 0
         for p in self.parts:
             if p & seen:
                 raise DecompositionError("parts overlap")
@@ -211,48 +221,29 @@ class MPartition:
 
     @property
     def z(self) -> int:
-        return next(iter(self.parts[0]))
-
-    @property
-    def matrix(self):
-        return m_matrix(self.a, self.b)
-
-    def vertex_set(self) -> frozenset:
-        out: frozenset = frozenset()
-        for p in self.parts:
-            out |= p
-        return out
+        return self.parts[0].bit_length() - 1
 
 
-def validate_m_partition(g: Graph, parts: tuple[frozenset, ...], a: int, b: int,
-                         expect_vertices: Optional[frozenset] = None
+def validate_m_partition(g: Graph, partition: MPartition
                          ) -> tuple[bool, Optional[tuple[int, int]]]:
     """Check every constrained pair of an M[a,b]-partition of (a subgraph of) g.
 
     Entry 1 forces all cross pairs adjacent, entry 0 all non-adjacent;
-    diagonal entries constrain within a part. Returns (ok, violating pair).
-    Raises if the parts overlap or do not cover ``expect_vertices``.
+    diagonal entries constrain within a part. Returns (ok, violating pair):
+    the first pair (u, v) by block, then by u, then by v, all ascending.
     """
-    union: set = set()
-    for p in parts:
-        if union & p:
-            raise DecompositionError("parts overlap")
-        union |= p
-    if expect_vertices is not None and union != expect_vertices:
-        raise DecompositionError("parts do not partition the expected vertex set")
-    mat = m_matrix(a, b)
-    plist = [sorted(p) for p in parts]
+    parts = partition.parts
+    mat = m_matrix(partition.a, partition.b)
     for i in range(5):
         for j in range(i, 5):
-            want = mat[i][j]
-            if want == "*":
+            entry = mat[i][j]
+            if entry == "*":
                 continue
-            for u in plist[i]:
-                for v in plist[j]:
-                    if u == v:
-                        continue
-                    if g.has_edge(u, v) != bool(want):
-                        return False, (u, v)
+            for u in bits(parts[i]):
+                col = parts[j] & ~(1 << u)
+                bad = (g.adj[u] ^ (col if entry else 0)) & col
+                if bad:
+                    return False, (u, (bad & -bad).bit_length() - 1)
     return True, None
 
 
@@ -306,7 +297,7 @@ def tree_to_text(tree: GraphDecompositionTree) -> str:
         pad = "  " * depth
         if isinstance(t, DecompNode):
             p = t.partition
-            partstr = ",".join("{" + ",".join(str(v) for v in sorted(s)) + "}"
+            partstr = ",".join("{" + ",".join(map(str, bits(s))) + "}"
                                for s in p.parts[1:])
             lines.append(f"{pad}z={p.z} | parts: {partstr} | M[{p.a},{p.b}]\n")
         elif t.vertex is None:
@@ -348,7 +339,6 @@ def _decompose_core(g: Graph, zside: int, other: int, a: int, b: int,
     preorder, so depth is limited by memory only.
     """
     adj = g.adj
-    fs = lambda m: frozenset(bits(m))
     order: list = []                # preorder: DecompLeaf or MPartition
     todo = [(zside, other, [adj[k] & zside for k in bits(other)])]
     while todo:
@@ -377,7 +367,7 @@ def _decompose_core(g: Graph, zside: int, other: int, a: int, b: int,
         p2 = zs & ~zb & ~p1
         if a:                       # M[1,b] form: the part pairs and children swap
             p1, p2, p3, p4, e1, e2 = p2, p1, p4, p3, e2, e1
-        order.append(MPartition((frozenset({z}), fs(p1), fs(p2), fs(p3), fs(p4)), a, b))
+        order.append(MPartition((zb, p1, p2, p3, p4), a, b))
         todo.append((p2, p4, e2))
         todo.append((p1, p3, e1))
     return fold_preorder(order, lambda leaf: leaf, DecompNode, DecompLeaf)

@@ -10,9 +10,10 @@ its seed. Generators used by the verification sweeps:
   hypergraphs through the incidence constructions, with rejection on the
   class predicates where membership is not automatic;
 * exhaustive enumerators: all labeled graphs on n vertices, all Sperner
-  families (antichains) over n vertices, all hyperedge families of bounded
-  size, all split/bipartite neighborhood structures (complete up to
-  isomorphism), and all 1-Sperner hypergraphs with |V| + |E| bounded.
+  families (antichains) over n vertices as family bitmaps, all hyperedge
+  families of bounded size, all split/bipartite neighborhood structures
+  (complete up to isomorphism), and all 1-Sperner hypergraphs with
+  |V| + |E| bounded.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .graphs import (Graph, LabeledBigraph, LabeledSplitGraph,  # noqa: F401
 from .hypergraph import Hypergraph, _glue_masks, is_one_sperner
 
 
-def random_one_sperner(n: int, rng: random.Random, empty_edge_prob: float = 0.6,
-                       max_retries: int = 200) -> Hypergraph:
+def random_one_sperner(n: int, rng: random.Random) -> Hypergraph:
     """A random 1-Sperner hypergraph on vertex ids 0..n-1.
 
     Grown as a random gluing tree: a hypergraph on n >= 1 vertices is the
@@ -41,19 +41,18 @@ def random_one_sperner(n: int, rng: random.Random, empty_edge_prob: float = 0.6,
     fails to be 1-Sperner exactly when the left part has its full vertex
     set as a hyperedge and the right part has the empty hyperedge; such
     draws are resampled before they are glued. Zero-vertex leaves carry
-    the empty hyperedge with probability ``empty_edge_prob``. Each part
-    spans a contiguous id range, with z between the two, so a gluing
-    lifts the right part's masks by one shift and the left part's not at
-    all.
+    the empty hyperedge with probability 0.6. Each part spans a
+    contiguous id range, with z between the two, so a gluing lifts the
+    right part's masks by one shift and the left part's not at all.
     """
 
     def gen(lo: int, hi: int) -> Hypergraph:
         nv = hi - lo
         if nv == 0:
-            if rng.random() < empty_edge_prob:
+            if rng.random() < 0.6:
                 return Hypergraph([], [set()])
             return Hypergraph([], [])
-        for _ in range(max_retries):
+        for _ in range(200):
             n1 = rng.randint(0, nv - 1)
             z = lo + n1
             h1 = gen(lo, z)
@@ -72,34 +71,33 @@ def random_graph(n: int, rng: random.Random, p: float = 0.5) -> Graph:
     return Graph(n, edges)
 
 
-def random_split_h_free(target_n: int, rng: random.Random,
-                        max_retries: int = 400) -> LabeledSplitGraph:
-    """A random H-free clique-Sperner split graph with at most target_n vertices.
-
-    Edge-clique split graphs of 1-Sperner hypergraphs are exactly this
-    class, so no rejection on the class predicates is needed; only the
-    size |V| + |E| is controlled by retrying.
-    """
-    for _ in range(max_retries):
-        nv = rng.randint(0, max(0, target_n - 1))
-        h = random_one_sperner(nv, rng)
-        if 1 <= h.n + h.m <= target_n:
-            return edge_clique_split_of(h)
-    raise RuntimeError("could not hit the size budget")
-
-
-def random_split_hbar_free(target_n: int, rng: random.Random) -> LabeledSplitGraph:
-    """A random co-H-free independent-Sperner split graph (vertex-clique route)."""
+def _sized_one_sperner(target_n: int, rng: random.Random) -> Hypergraph:
+    """A random 1-Sperner hypergraph with 1 <= |V| + |E| <= target_n,
+    redrawn until it fits."""
     for _ in range(400):
         nv = rng.randint(0, max(0, target_n - 1))
         h = random_one_sperner(nv, rng)
         if 1 <= h.n + h.m <= target_n:
-            return vertex_clique_split_of(h)
+            return h
     raise RuntimeError("could not hit the size budget")
 
 
-def random_bigraph_2p3_free(target_n: int, rng: random.Random,
-                            max_retries: int = 4000) -> LabeledBigraph:
+def random_split_h_free(target_n: int, rng: random.Random) -> LabeledSplitGraph:
+    """A random H-free clique-Sperner split graph with at most target_n vertices.
+
+    Edge-clique split graphs of 1-Sperner hypergraphs are exactly this
+    class, so no rejection on the class predicates is needed; only the
+    size |V| + |E| is controlled by redrawing.
+    """
+    return edge_clique_split_of(_sized_one_sperner(target_n, rng))
+
+
+def random_split_hbar_free(target_n: int, rng: random.Random) -> LabeledSplitGraph:
+    """A random co-H-free independent-Sperner split graph (vertex-clique route)."""
+    return vertex_clique_split_of(_sized_one_sperner(target_n, rng))
+
+
+def random_bigraph_2p3_free(target_n: int, rng: random.Random) -> LabeledBigraph:
     """A random 2P3-free right-Sperner bigraph.
 
     Bigraphs of 1-Sperner hypergraphs are right-Sperner and contain no 2P3
@@ -107,7 +105,7 @@ def random_bigraph_2p3_free(target_n: int, rng: random.Random,
     middle vertices on the vertex side; those are rejected by the exact
     pair test ``bigraph_two_p3_witness``.
     """
-    for _ in range(max_retries):
+    for _ in range(4000):
         nv = rng.randint(0, max(0, target_n - 1))
         h = random_one_sperner(nv, rng)
         if not 1 <= h.n + h.m <= target_n:
@@ -135,21 +133,22 @@ def labeled_graphs(n: int) -> Iterator[Graph]:
         yield Graph(n, [pairs[i] for i in range(len(pairs)) if picks >> i & 1])
 
 
-def antichains(n: int) -> Iterator[tuple[int, ...]]:
-    """All Sperner families over n vertices, as tuples of hyperedge masks.
+def antichain_bitmaps(n: int) -> Iterator[int]:
+    """All Sperner families over n vertices as family bitmaps (bit e for the
+    hyperedge mask e).
 
     Includes the empty family and the family {{}}. DFS over subset masks
     in increasing order with precomputed incomparability bitmaps.
     """
-    N = 1 << n
-    incomp = [0] * N
-    for i in range(N):
+    size = 1 << n
+    incomp = [0] * size
+    for i in range(size):
         m = 0
-        for j in range(i + 1, N):
+        for j in range(i + 1, size):
             if (i & j) != i and (i & j) != j:
                 m |= 1 << j
         incomp[i] = m
-    stack: list[tuple[int, tuple[int, ...]]] = [(( 1 << N) - 1, ())]
+    stack = [((1 << size) - 1, 0)]
     while stack:
         allowed, chosen = stack.pop()
         yield chosen
@@ -158,7 +157,7 @@ def antichains(n: int) -> Iterator[tuple[int, ...]]:
             b = a & -a
             i = b.bit_length() - 1
             a ^= b
-            stack.append((allowed & incomp[i] & -(b << 1), chosen + (i,)))
+            stack.append((allowed & incomp[i] & -(b << 1), chosen | (1 << i)))
 
 
 def hyperedge_families(n: int, max_m: int) -> Iterator[tuple[int, ...]]:
@@ -182,50 +181,36 @@ def one_sperner_hypergraphs(max_total: int) -> Iterator[Hypergraph]:
                 yield h
 
 
+def _side_structures(n: int, clique: bool) -> Iterator[tuple[Graph, frozenset, frozenset]]:
+    """(g, low, high) for graphs on n vertices with sides low = {0..i-1}
+    and high = {i..n-1}, for every i: the high side's neighbourhoods in
+    low are drawn as multisets, and high is a clique when ``clique``
+    holds. Exact duplicates (same labeled graph) are skipped."""
+    seen = set()
+    for k in range(n + 1):
+        low, high = range(n - k), range(n - k, n)
+        full = sum(1 << v for v in high) if clique else 0
+        for hoods in itertools.combinations_with_replacement(range(1 << len(low)), k):
+            adj = [0] * len(low) + [full & ~(1 << v) for v in high]
+            for v, hood in zip(high, hoods):
+                adj[v] |= hood
+                for u in bits(hood):
+                    adj[u] |= 1 << v
+            key = tuple(adj)
+            if key not in seen:
+                seen.add(key)
+                yield Graph.from_adj(adj), frozenset(low), frozenset(high)
+
+
 def split_graph_structures(n: int) -> Iterator[LabeledSplitGraph]:
     """Split graphs on n vertices via clique-side neighborhood multisets.
 
     I = {0..i-1}, K = {i..n-1}; every split graph on n vertices is
-    isomorphic to at least one emitted structure. Exact duplicates (same
-    labeled graph) are skipped.
+    isomorphic to at least one emitted structure.
     """
-    seen = set()
-    for k in range(n + 1):
-        i = n - k
-        kverts = list(range(i, n))
-        for hoods in itertools.combinations_with_replacement(range(1 << i), k):
-            adj = [0] * n
-            for kv in kverts:
-                for kw in kverts:
-                    if kv != kw:
-                        adj[kv] |= 1 << kw
-            for kv, hood in zip(kverts, hoods):
-                adj[kv] |= hood
-                for v in bits(hood):
-                    adj[v] |= 1 << kv
-            key = tuple(adj)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield LabeledSplitGraph(Graph.from_adj(adj),
-                                    frozenset(kverts), frozenset(range(i)))
+    return (LabeledSplitGraph(g, K=high, I=low) for g, low, high in _side_structures(n, True))
 
 
 def bigraph_structures(n: int) -> Iterator[LabeledBigraph]:
     """Bipartite graphs on n vertices via B-side neighborhood multisets."""
-    seen = set()
-    for b in range(n + 1):
-        a = n - b
-        bverts = list(range(a, n))
-        for hoods in itertools.combinations_with_replacement(range(1 << a), b):
-            adj = [0] * n
-            for bv, hood in zip(bverts, hoods):
-                adj[bv] |= hood
-                for v in bits(hood):
-                    adj[v] |= 1 << bv
-            key = tuple(adj)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield LabeledBigraph(Graph.from_adj(adj),
-                                 frozenset(range(a)), frozenset(bverts))
+    return (LabeledBigraph(g, low, high) for g, low, high in _side_structures(n, False))

@@ -116,10 +116,6 @@ class Graph:
         return f"Graph({self.n}, {self.edges()})"
 
 
-def complement(g: Graph) -> Graph:
-    return g.complement()
-
-
 # ---------------------------------------------------------------------------
 # Pattern catalog
 # ---------------------------------------------------------------------------

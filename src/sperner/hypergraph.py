@@ -133,20 +133,16 @@ class Hypergraph:
     def mask_from_ids(self, ids: Iterable[int]) -> int:
         return mask_of(self.position(v) for v in ids)
 
-    def incidence_matrix(self, row_order: Optional[list[int]] = None,
-                         col_order: Optional[list[int]] = None) -> tuple[tuple[int, ...], ...]:
-        """0/1 matrix, rows = hyperedges, cols = vertices.
+    def incidence_matrix(self, row_order: Optional[list[int]] = None
+                         ) -> tuple[tuple[int, ...], ...]:
+        """0/1 matrix, rows = hyperedges, cols = vertices in sorted order.
 
-        Defaults: rows in canonical (sorted mask) order, columns in sorted
-        vertex order. Explicit orders are given as lists of row indices /
-        vertex ids.
+        Rows default to canonical (sorted mask) order; an explicit order is
+        a list of row indices.
         """
-        rows = row_order if row_order is not None else list(range(self.m))
-        cols = col_order if col_order is not None else list(self.vertices)
-        cps = [self.position(v) for v in cols]
-        return tuple(
-            tuple((self.edge_masks[r] >> p) & 1 for p in cps) for r in rows
-        )
+        rows = row_order if row_order is not None else range(self.m)
+        return tuple(tuple((self.edge_masks[r] >> p) & 1 for p in range(self.n))
+                     for r in rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Hypergraph)
@@ -258,15 +254,7 @@ def glue(h1: Hypergraph, h2: Hypergraph, z: int) -> Hypergraph:
         raise HypergraphError(f"gluing vertex {z} already present")
     if z < 0:
         raise HypergraphError("vertex ids must be non-negative")
-    vs = sorted(v1 | v2 | {z})
-    pos = {v: i for i, v in enumerate(vs)}
-
-    def lift(h: Hypergraph) -> list[int]:
-        bit = [1 << pos[v] for v in h.vertices]
-        return [sum(bit[i] for i in bits(m)) for m in h.edge_masks]
-
-    v1mask = sum(1 << pos[v] for v in v1)
-    return Hypergraph.from_masks(vs, _glue_masks(lift(h1), lift(h2), v1mask, 1 << pos[z]))
+    return Hypergraph(v1 | v2 | {z}, [e | {z} for e in h1.edges] + [v1 | f for f in h2.edges])
 
 
 def is_z_decomposable(h: Hypergraph, z: int) -> bool:

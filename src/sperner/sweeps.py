@@ -23,7 +23,7 @@ from .decomposition import (DecompLeaf, DecompNode, decompose_bigraph_2p3_free,
                             labeled_two_p3_witness, validate_m_partition)
 from .domination import (VARIANTS, brute_force, dp_dominating_set, is_dominating,
                          solve_h_free_split_all)
-from .generators import (hyperedge_families, labeled_graphs,
+from .generators import (antichain_bitmaps, hyperedge_families, labeled_graphs,
                          one_sperner_hypergraphs, random_bigraph_2p3_free,
                          random_cobigraph, random_graph, random_one_sperner,
                          random_split_h_free, random_split_hbar_free,
@@ -201,30 +201,6 @@ def dual_family_bitmap(fam: int) -> int:
     return tr & ~nonmin & _FULL6
 
 
-def antichain_bitmaps(n: int) -> Iterator[int]:
-    """All Sperner families over n <= 6 vertices as family bitmaps."""
-    if n > _N6:
-        raise ValueError("family bitmaps cover at most 6 vertices")
-    size = 1 << n
-    incomp = [0] * size
-    for i in range(size):
-        m = 0
-        for j in range(i + 1, size):
-            if (i & j) != i and (i & j) != j:
-                m |= 1 << j
-        incomp[i] = m
-    stack = [((1 << size) - 1, 0)]
-    while stack:
-        allowed, chosen = stack.pop()
-        yield chosen
-        a = allowed
-        while a:
-            b = a & -a
-            i = b.bit_length() - 1
-            a ^= b
-            stack.append((allowed & incomp[i] & -(b << 1), chosen | (1 << i)))
-
-
 def transversal_involution_sweep(max_n: int = 6, library_exhaustive_n: int = 5,
                                  library_sample: int = 100_000,
                                  seed: int = DEFAULT_SEED) -> SweepReport:
@@ -377,7 +353,7 @@ def _check_decomposition(name: str, inst, rep: SweepReport):
         if (p.a, p.b) != (a, b):
             rep.flag(f"{name} {g}: node tagged M[{p.a},{p.b}], expected M[{a},{b}]")
             return
-        ok, pair = validate_m_partition(g, p.parts, a, b)
+        ok, pair = validate_m_partition(g, p)
         if not ok:
             rep.flag(f"{name} {g}: node at z={p.z} violates its matrix at {pair}")
             return
@@ -392,10 +368,10 @@ def _check_decomposition(name: str, inst, rep: SweepReport):
         for node in nodes:
             p = node.partition
             for kpart, ipart in ((p.parts[3], p.parts[1]), (p.parts[4], p.parts[2])):
-                sub, ids = g.induced_with_map(kpart | ipart)
+                sub, ids = g.induced_with_map(bits(kpart | ipart))
                 pos = {v: i for i, v in enumerate(ids)}
-                child = LabeledSplitGraph(sub, frozenset(pos[v] for v in kpart),
-                                          frozenset(pos[v] for v in ipart))
+                child = LabeledSplitGraph(sub, frozenset(pos[v] for v in bits(kpart)),
+                                          frozenset(pos[v] for v in bits(ipart)))
                 if not is_clique_sperner(child) or find_induced(sub, h_pat):
                     rep.flag(f"{name} {g}: child at z={p.z} left the class")
                     return

@@ -40,6 +40,7 @@ the sweeps use it as an oracle independent of the LP.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -86,12 +87,6 @@ def is_independent_set(h: Hypergraph, X: Iterable[int]) -> bool:
     return not any(e & xm == e for e in h.edge_masks)
 
 
-def characteristic_vector(h: Hypergraph, X: Iterable[int]) -> tuple[int, ...]:
-    """0/1 vector indexed by h.vertices with ones on the members of X."""
-    xm = h.mask_from_ids(X)
-    return tuple((xm >> i) & 1 for i in range(h.n))
-
-
 @dataclass(frozen=True)
 class AsummabilityWitness:
     """k independent and k dependent sets with equal characteristic sums."""
@@ -107,15 +102,9 @@ class AsummabilityWitness:
         for b in self.dependent:
             if is_independent_set(h, b):
                 return False
-        sum_a = [0] * h.n
-        sum_b = [0] * h.n
-        for a in self.independent:
-            for i, x in enumerate(characteristic_vector(h, a)):
-                sum_a[i] += x
-        for b in self.dependent:
-            for i, x in enumerate(characteristic_vector(h, b)):
-                sum_b[i] += x
-        return sum_a == sum_b
+        # equal characteristic sums = equal multisets of members
+        members = lambda sets: Counter(v for s in sets for v in s)
+        return members(self.independent) == members(self.dependent)
 
 
 def k_asummability_witness(h: Hypergraph, k: int,

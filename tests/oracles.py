@@ -30,7 +30,9 @@ gluing chain builder glues every candidate and runs the pairwise
 1-Sperner check on it, as the chain builder of the tests did before it
 tested the gluing lemma. The
 maximal-clique enumeration is the recursive Bron-Kerbosch the library's
-stack-based one replaced.
+stack-based one replaced. The M[a,b] partition check here takes the
+parts as frozensets and tests every constrained pair by ``has_edge``, as
+the library's did before partitions held vertex masks.
 """
 
 from __future__ import annotations
@@ -656,6 +658,33 @@ def build_from_tree_unpruned(tree):
 
 
 # ---------------------------------------------------------------------------
+# M[a,b] partitions: the pairwise check on frozensets
+# ---------------------------------------------------------------------------
+
+def validate_m_partition_by_pairs(g: Graph, parts, a: int, b: int):
+    """(ok, first violating pair) of five frozenset parts under M[a,b]:
+    each constrained block is scanned pair by pair, u then v ascending.
+    Raises DecompositionError when the parts overlap."""
+    union: set = set()
+    for p in parts:
+        if union & p:
+            raise DecompositionError("parts overlap")
+        union |= p
+    mat = m_matrix(a, b)
+    plist = [sorted(p) for p in parts]
+    for i in range(5):
+        for j in range(i, 5):
+            want = mat[i][j]
+            if want == "*":
+                continue
+            for u in plist[i]:
+                for v in plist[j]:
+                    if u != v and g.has_edge(u, v) != bool(want):
+                        return False, (u, v)
+    return True, None
+
+
+# ---------------------------------------------------------------------------
 # Decomposition trees: the recursive M[a,b] join scan
 # ---------------------------------------------------------------------------
 # The library's ``decomposition._decompose_core`` as it was before it found
@@ -702,8 +731,7 @@ def decompose_core_join_scan(g: Graph, zside: int, other: int, a: int, b: int,
         if any(g.adj[u] & p4 != p4 for u in bits(p1)):
             continue                               # p1-p4 join incomplete
         p2 = zside & ~zb & ~p1
-        fs = lambda m: frozenset(bits(m))
-        partition = MPartition((frozenset({z}), fs(p1), fs(p2), fs(p3), fs(p4)), a, b)
+        partition = MPartition((zb, p1, p2, p3, p4), a, b)
         left = decompose_core_join_scan(g, p1, p3, a, b, classname)
         right = decompose_core_join_scan(g, p2, p4, a, b, classname)
         return DecompNode(partition, left, right)

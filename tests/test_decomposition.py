@@ -9,6 +9,7 @@ import pytest
 from sperner import sweeps
 from sperner.bitset import bits, mask_of
 from sperner.decomposition import (DecompLeaf, DecompNode, DecompositionError,
+                                   MPartition,
                                    clique_sperner_partition,
                                    decompose_bigraph_2p3_free, decompose_cobigraph,
                                    decompose_split_h_free, decompose_split_hbar_free,
@@ -85,25 +86,22 @@ class TestMMatrix:
         # K = {v1, v2} = {0, 1}; I = {z, u1, u2} = {2, 3, 4};
         # N(v1) cap I = {z, u1}, N(v2) cap I = {u1, u2}
         g = Graph(5, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4)])
-        parts = (frozenset({2}), frozenset({3}), frozenset({4}),
-                 frozenset({0}), frozenset({1}))
-        ok, _ = validate_m_partition(g, parts, 0, 1)
+        parts = (1 << 2, 1 << 3, 1 << 4, 1 << 0, 1 << 1)
+        ok, _ = validate_m_partition(g, MPartition(parts, 0, 1))
         assert ok
-        ok2, pair = validate_m_partition(g, parts, 0, 0)
+        ok2, pair = validate_m_partition(g, MPartition(parts, 0, 0))
         assert not ok2 and pair == (0, 1)
 
     def test_all_empty_but_z(self):
         g = Graph(1, [])
-        parts = (frozenset({0}),) + (frozenset(),) * 4
+        parts = (1, 0, 0, 0, 0)
         for a in (0, 1):
             for b in (0, 1):
-                assert validate_m_partition(g, parts, a, b)[0]
+                assert validate_m_partition(g, MPartition(parts, a, b))[0]
 
     def test_partition_errors(self):
-        g = Graph(2, [])
         with pytest.raises(DecompositionError):
-            validate_m_partition(g, (frozenset({0}), frozenset({0}),
-                                     frozenset(), frozenset(), frozenset()), 0, 1)
+            MPartition((1, 1, 0, 0, 0), 0, 1)
 
 
 class TestCliqueSpernerPartition:
@@ -176,18 +174,18 @@ def _check_tree(g, tree, a, b, zside, other):
             return
         p = t.partition
         assert (p.a, p.b) == (a, b)
-        ok, pair = validate_m_partition(g, p.parts, a, b)
+        ok, pair = validate_m_partition(g, p)
         assert ok, (g, p, pair)
         z = p.z
         assert zmask >> z & 1
         assert z not in seen
         seen.add(z)
         p1, p2, p3, p4 = p.parts[1:]
-        assert mask_of(p1 | p2) & omask == 0
-        assert mask_of(p3 | p4) & zmask == 0
-        assert (1 << z) | mask_of(p1 | p2 | p3 | p4) == zmask | omask
-        walk(t.left, mask_of(p1), mask_of(p3))
-        walk(t.right, mask_of(p2), mask_of(p4))
+        assert (p1 | p2) & omask == 0
+        assert (p3 | p4) & zmask == 0
+        assert (1 << z) | p1 | p2 | p3 | p4 == zmask | omask
+        walk(t.left, p1, p3)
+        walk(t.right, p2, p4)
 
     walk(tree, zside, other)
     assert seen == set(bits(zside | other))
@@ -200,8 +198,7 @@ class TestSplitHFree:
         tree = decompose_split_h_free(ls)
         assert isinstance(tree, DecompNode)
         assert tree.z == 2
-        assert tree.partition.parts[1:] == (frozenset({3}), frozenset({4}),
-                                            frozenset({0}), frozenset({1}))
+        assert tree.partition.parts[1:] == (1 << 3, 1 << 4, 1 << 0, 1 << 1)
         _check_tree(g, tree, 0, 1, mask_of(ls.I), mask_of(ls.K))
 
     def test_single_clique_vertex(self):
@@ -253,7 +250,7 @@ class TestBigraph:
         lb = LabeledBigraph(Graph(2, [(0, 1)]), frozenset({0}), frozenset({1}))
         tree = decompose_bigraph_2p3_free(lb)
         assert isinstance(tree, DecompNode) and tree.z == 0
-        assert tree.partition.parts[3] == frozenset({1})
+        assert tree.partition.parts[3] == 1 << 1
 
     def test_rejects_2p3(self):
         g = pattern("2P3")
@@ -288,7 +285,7 @@ class TestCobigraph:
             g = lb.g.complement()
             tree = decompose_cobigraph(g)
             for node in iter_nodes(tree):
-                ok, pair = validate_m_partition(g, node.partition.parts, 1, 1)
+                ok, pair = validate_m_partition(g, node.partition)
                 assert ok, (g, node.partition, pair)
 
 
@@ -301,7 +298,7 @@ def _zside_of(tree):
                 out.add(t.vertex)
             return
         out.add(t.partition.z)
-        out.update(t.partition.parts[1] | t.partition.parts[2])
+        out.update(bits(t.partition.parts[1] | t.partition.parts[2]))
         walk(t.left)
         walk(t.right)
 
@@ -336,10 +333,10 @@ class TestChildrenStayInClass:
             for node in iter_nodes(tree):
                 p = node.partition
                 for kpart, ipart in ((p.parts[3], p.parts[1]), (p.parts[4], p.parts[2])):
-                    sub, ids = ls.g.induced_with_map(kpart | ipart)
+                    sub, ids = ls.g.induced_with_map(bits(kpart | ipart))
                     pos = {v: i for i, v in enumerate(ids)}
-                    child = LabeledSplitGraph(sub, frozenset(pos[v] for v in kpart),
-                                              frozenset(pos[v] for v in ipart))
+                    child = LabeledSplitGraph(sub, frozenset(pos[v] for v in bits(kpart)),
+                                              frozenset(pos[v] for v in bits(ipart)))
                     assert is_clique_sperner(child)
                     assert find_induced(sub, h_pat) is None
 

@@ -3,14 +3,14 @@
 import random
 
 from sperner.decomposition import is_clique_sperner, is_right_sperner
-from sperner.generators import (antichains, bigraph_structures,
+from sperner.generators import (antichain_bitmaps, bigraph_structures,
                                 hyperedge_families, labeled_graphs,
                                 one_sperner_hypergraphs, random_bigraph_2p3_free,
                                 random_one_sperner, random_split_h_free,
                                 split_graph_structures)
 from sperner.graphs import Graph, find_induced, pattern
 from sperner.hypergraph import is_one_sperner
-from sperner.bitset import containment_pair
+from sperner.bitset import bits, containment_pair
 
 
 def test_random_one_sperner_is_one_sperner_and_deterministic():
@@ -56,11 +56,11 @@ def test_labeled_graph_counts():
 def test_antichain_counts_match_dedekind():
     # numbers of antichains in the subset lattice
     for n, count in ((0, 2), (1, 3), (2, 6), (3, 20), (4, 168)):
-        got = list(antichains(n))
+        got = list(antichain_bitmaps(n))
         assert len(got) == count
         assert len(set(got)) == count
         for fam in got:
-            assert containment_pair(fam) is None
+            assert containment_pair(list(bits(fam))) is None
 
 
 def test_hyperedge_family_counts():

@@ -153,12 +153,13 @@ def matching_chain(depth: int, last_on_z_side: bool = True):
     vertex. ``last_on_z_side=False`` puts that last vertex on the other
     side instead, which changes the tree at its deepest leaf only."""
     tree = DecompLeaf(2 * depth, last_on_z_side)
-    empty = frozenset()
+    evens, odds = 1 << 2 * depth, 0     # the vertices of the subtree below z
     for i in reversed(range(depth)):
         z, mate = 2 * i, 2 * i + 1
-        parts = (frozenset({z}), empty, frozenset(range(z + 2, 2 * depth + 1, 2)),
-                 frozenset({mate}), frozenset(range(z + 3, 2 * depth, 2)))
+        parts = (1 << z, 0, evens, 1 << mate, odds)
         tree = DecompNode(MPartition(parts, 0, 0), DecompLeaf(mate, False), tree)
+        evens |= 1 << z
+        odds |= 1 << mate
     return tree
 
 

@@ -13,7 +13,8 @@ import pytest
 
 import sperner.cli as cli
 from oracles import brute_gluing_vertices
-from sperner.generators import antichains, random_one_sperner
+from sperner.bitset import bits
+from sperner.generators import antichain_bitmaps, random_one_sperner
 from sperner.hypergraph import (HLeaf, HNode, Hypergraph, HypergraphError,
                                 decompose, glue, is_one_sperner,
                                 is_z_decomposable, recompose)
@@ -24,8 +25,8 @@ def small_one_sperner():
     """Every 1-Sperner family on at most 4 vertices (1-Sperner families are
     antichains), then 60 seeded random ones on at most 40 vertices."""
     for n in range(5):
-        for masks in antichains(n):
-            h = Hypergraph.from_masks(range(n), masks)
+        for fam in antichain_bitmaps(n):
+            h = Hypergraph.from_masks(range(n), bits(fam))
             if is_one_sperner(h):
                 yield h
     rng = random.Random(6)
