@@ -28,7 +28,7 @@ from .generators import (random_bigraph_2p3_free, random_one_sperner,
 from .graphs import Graph, GraphError, find_induced  # noqa: F401
 from .hypergraph import (HLeaf, Hypergraph, HypergraphError, decompose,
                          is_conformal, is_dually_sperner, is_one_sperner,
-                         is_sperner, preorder, recompose)
+                         is_sperner, marked_preorder, recompose)
 from .sweeps import SUITES
 from .threshold import (ThresholdError, ThresholdWitness, k_asummability_witness,
                         threshold_certificate)
@@ -98,15 +98,21 @@ def cmd_decompose(args) -> int:
 
 
 def _hyper_tree_text(tree) -> str:
-    """One line per node in preorder, indented two spaces per level."""
+    """One line per node in preorder, indented two spaces per level. The
+    items come from the tree's stored preorder; a node's children follow
+    it, left first, so a stack of the depths still to come gives every
+    item its depth."""
     lines = []
-    for t, depth in preorder(tree):
+    depths = [0]
+    for x in marked_preorder(tree):
+        depth = depths.pop()
         pad = "  " * depth
-        if isinstance(t, HLeaf):
-            edges = "{}" if not t.base.edge_masks else "{{}}"
+        if isinstance(x, HLeaf):
+            edges = "{}" if not x.base.edge_masks else "{{}}"
             lines.append(f"{pad}leaf edges={edges}")
         else:
-            lines.append(f"{pad}z={t.z}")
+            lines.append(f"{pad}z={x}")
+            depths += (depth + 1, depth + 1)
     return "\n".join(lines)
 
 

@@ -114,9 +114,11 @@ def postorder(e: KExpression) -> list:
     return order
 
 
-def max_label(e: KExpression) -> int:
+def max_label(e: KExpression, order: Optional[list] = None) -> int:
+    """The largest label ``e`` uses; ``order`` is ``postorder(e)`` when
+    the caller has it."""
     best = 0
-    for x in postorder(e):
+    for x in postorder(e) if order is None else order:
         t = type(x)
         if t is Leaf:
             best = max(best, x.label)
@@ -170,9 +172,11 @@ class LabeledGraphValue:
         return Graph.from_adj(adj)
 
 
-def evaluate(e: KExpression, k: Optional[int] = None) -> LabeledGraphValue:
-    """Standard semantics; duplicate vertex ids and out-of-range labels error."""
-    ids, label_at, adj = _eval(e)
+def evaluate(e: KExpression, k: Optional[int] = None,
+             order: Optional[list] = None) -> LabeledGraphValue:
+    """Standard semantics; duplicate vertex ids and out-of-range labels
+    error. ``order`` is ``postorder(e)`` when the caller has it."""
+    ids, label_at, adj = _eval(postorder(e) if order is None else order)
     labels = dict(zip(ids, label_at))
     if k is not None:
         bad = [v for v, l in labels.items() if l > k]
@@ -182,9 +186,9 @@ def evaluate(e: KExpression, k: Optional[int] = None) -> LabeledGraphValue:
     return LabeledGraphValue(vs, labels, tuple(ids), tuple(adj))
 
 
-def _eval(e: KExpression) -> tuple[list, list, list]:
+def _eval(order: list) -> tuple[list, list, list]:
     """The vertex id, label and adjacency mask of every leaf position of
-    ``e``.
+    the expression whose ``postorder`` is ``order``.
 
     Leaves are numbered left to right, so every subtree holds a contiguous
     range of positions. A pending subtree is (first position, label ->
@@ -195,7 +199,7 @@ def _eval(e: KExpression) -> tuple[list, list, list]:
     adj = []
     splits = []     # (first, middle, end) position of every union, in postorder
     pending = []
-    for x in postorder(e):
+    for x in order:
         t = type(x)
         if t is Leaf:
             pending.append((len(ids), {x.label: 1 << len(ids)}))

@@ -53,6 +53,7 @@ search followed by its ``decompose_*`` function.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
@@ -293,12 +294,12 @@ def tree_to_text(tree: GraphDecompositionTree) -> str:
     """One node per line in preorder, indented two spaces per level: z,
     the four parts, and the matrix tag."""
     lines = []
+    names: list[str] = []
     for t, depth in preorder(tree, DecompLeaf):
         pad = "  " * depth
         if isinstance(t, DecompNode):
             p = t.partition
-            partstr = ",".join("{" + ",".join(map(str, bits(s))) + "}"
-                               for s in p.parts[1:])
+            partstr = ",".join("{" + _id_list(s, names) + "}" for s in p.parts[1:])
             lines.append(f"{pad}z={p.z} | parts: {partstr} | M[{p.a},{p.b}]\n")
         elif t.vertex is None:
             lines.append(f"{pad}leaf empty\n")
@@ -306,6 +307,19 @@ def tree_to_text(tree: GraphDecompositionTree) -> str:
             side = "z-side" if t.on_z_side else "other-side"
             lines.append(f"{pad}leaf v={t.vertex} ({side})\n")
     return "".join(lines)
+
+
+_ONE = re.compile("1")
+
+
+def _id_list(mask: int, names: list) -> str:
+    """The set bit positions of ``mask``, ascending and comma-separated,
+    read off one ``bin()`` string: ``bits`` would pay a few big-integer
+    operations of O(n / word) per set bit. ``names[i]`` is ``str(i)``,
+    extended here to the width of ``mask`` and shared by a tree's parts."""
+    if mask.bit_length() > len(names):
+        names.extend(map(str, range(len(names), mask.bit_length())))
+    return ",".join([names[m.start()] for m in _ONE.finditer(bin(mask)[:1:-1])])
 
 
 # ---------------------------------------------------------------------------

@@ -124,12 +124,13 @@ def dp_dominating_set(e: KExpression) -> DominationResult:
     dominated). Values are (size, witness), least first under
     ``_before``, so the result is deterministic.
     """
-    value = evaluate(e)  # validates the expression
-    k = max(1, max_label(e))
+    order = postorder(e)  # the one walk of e, for all three passes below
+    value = evaluate(e, order=order)  # validates the expression
+    k = max(1, max_label(e, order))
     full = (1 << k) - 1
     by_rank, nat = _witness_order(value.vertices)
     best = None
-    for key, (n, w) in _dp(e, k, by_rank, nat).items():
+    for key, (n, w) in _dp(order, k, by_rank, nat).items():
         if not key & full and (best is None or n < best[0]
                                or n == best[0] and _before(w, best[1], nat)):
             best = (n, w)
@@ -211,13 +212,14 @@ def _apply_chain(table: dict, k: int, ops: tuple, nat: list) -> dict:
     return out
 
 
-def _dp(e: KExpression, k: int, by_rank: list, nat: list) -> dict:
-    """The state table of ``e``: key ``sel << k | undom`` -> (size,
-    witness mask), where ``sel`` holds the label classes with a selected
-    vertex and ``undom`` those not yet wholly dominated, and bit r of the
-    mask is ``by_rank[r]``.
+def _dp(order: list, k: int, by_rank: list, nat: list) -> dict:
+    """The state table of the expression whose ``postorder`` is
+    ``order``: key ``sel << k | undom`` -> (size, witness mask), where
+    ``sel`` holds the label classes with a selected vertex and ``undom``
+    those not yet wholly dominated, and bit r of the mask is
+    ``by_rank[r]``.
 
-    Built over ``postorder(e)`` with one table per pending subtree. A
+    Built over ``order`` with one table per pending subtree. A
     union ORs the keys of every pair of entries, adds the sizes and ORs
     the masks (the two sides' vertices are disjoint). The maximal chain
     of relabel/add-edges nodes above a subtree is applied as one key map
@@ -231,7 +233,7 @@ def _dp(e: KExpression, k: int, by_rank: list, nat: list) -> dict:
     bit = {v: 1 << r for r, v in enumerate(by_rank)}
     tables = []
     ops = []        # the unary chain pending above tables[-1], innermost first
-    for x in postorder(e):
+    for x in order:
         t = type(x)
         if t is Relabel:
             ops.append((t, x.src, x.dst))

@@ -35,7 +35,13 @@ The central structural facts implemented here:
   one side keep their differences. A cross pair {z} + e, V1 + f differs
   by {z} on one side and by (V1 \\ e) + f on the other, which is empty
   exactly when e = V1 and f is empty. So a decomposition tree certifies
-  1-Spernerness once every node passes this test.
+  1-Spernerness once every node passes this test;
+* a gluing tree is stored as its preorder list, the nodes' z and the
+  leaves, left subtree first. ``HNode`` is a view (list, index) of it,
+  and the tree recomposes in one forward pass over the list: unfolding
+  the gluings, a leaf with the empty hyperedge gives the OR over its
+  root path of {z} at each left turn and V(left subtree) at each right
+  turn (``recompose``).
 
 Transversal (minimal hitting set) machinery and conformality testing live
 here as well; both are exact and meant for desk-scale inputs.
@@ -292,19 +298,97 @@ class HLeaf:
             raise HypergraphError("leaf must have zero vertices")
 
 
-@dataclass(frozen=True, eq=False)
 class HNode:
     """Gluing node: recompose as glue(recompose(left), recompose(right), z).
-    Trees compare and hash by ``marked_preorder``, without recursion."""
-    z: int
-    left: "DecompositionTree"
-    right: "DecompositionTree"
+
+    A node is a view (items, i) of a gluing tree's preorder: ``items``
+    lists the nodes' z and the leaves (``HLeaf``), left subtree first, as
+    ``gluing_preorder`` returns them, and the node is the subtree that
+    starts at ``items[i]``. ``z``, ``left`` and ``right`` are read from the
+    list. ``right`` needs the end of the left subtree; the ends of all
+    subtrees are computed once per list, in one reversed pass, and shared
+    by every view of it. ``decompose`` returns a view of the scan's own
+    list. The constructor copies [z] + the items of ``left`` + those of
+    ``right`` into a new list, so hand-built and decomposed trees have one
+    representation. Trees compare and hash by ``marked_preorder``, a slice
+    of the list, without recursion.
+    """
+
+    __slots__ = ("_items", "_i", "_ends")
+
+    def __init__(self, z, left: "DecompositionTree", right: "DecompositionTree"):
+        self._items = [z, *_tree_items(left), *_tree_items(right)]
+        self._i = 0
+        self._ends: list[int] = []  # every subtree's end, filled on first use
+
+    @classmethod
+    def _view(cls, items: list, i: int, ends: list) -> "HNode":
+        node = object.__new__(cls)
+        node._items, node._i, node._ends = items, i, ends
+        return node
+
+    @property
+    def z(self):
+        return self._items[self._i]
+
+    @property
+    def left(self) -> "DecompositionTree":
+        return self._child(self._i + 1)
+
+    @property
+    def right(self) -> "DecompositionTree":
+        return self._child(self._end(self._i + 1))
+
+    def _child(self, j: int) -> "DecompositionTree":
+        x = self._items[j]
+        return x if isinstance(x, HLeaf) else HNode._view(self._items, j, self._ends)
+
+    def _end(self, j: int) -> int:
+        if not self._ends:
+            self._ends.extend(_subtree_ends(self._items))
+        return self._ends[j]
+
+    def _slice(self) -> list:
+        """The items of this subtree; a view at 0 spans its whole list."""
+        i = self._i
+        return self._items[i:self._end(i)] if i else self._items
 
     def __eq__(self, other):
-        return isinstance(other, HNode) and marked_preorder(self) == marked_preorder(other)
+        return isinstance(other, HNode) and self._slice() == other._slice()
 
     def __hash__(self):
-        return hash(marked_preorder(self))
+        return hash(tuple(self._slice()))
+
+    def __repr__(self):
+        return fold_preorder(self._slice(), repr,
+                             lambda z, l, r: f"HNode(z={z!r}, left={l}, right={r})")
+
+
+def _tree_items(tree: "DecompositionTree") -> list:
+    """The preorder items of a gluing tree: its slice for a node, the leaf
+    itself for a leaf."""
+    if isinstance(tree, HNode):
+        return tree._slice()
+    if isinstance(tree, HLeaf):
+        return [tree]
+    raise TypeError(f"a gluing tree child must be HNode or HLeaf, not {type(tree).__name__}")
+
+
+def _subtree_ends(items: list) -> list[int]:
+    """ends[j] is one past the last item of the subtree that starts at
+    ``items[j]``. Reversed preorder meets both subtrees of a node before
+    the node, the left one last, so a stack of the pending subtrees' ends
+    holds the left subtree's end on top and the right one's, which is
+    the node's, below it."""
+    ends = [0] * len(items)
+    pending: list[int] = []
+    for j in range(len(items) - 1, -1, -1):
+        if isinstance(items[j], HLeaf):
+            pending.append(j + 1)
+        else:
+            pending.pop()
+        ends[j] = pending[-1]
+    return ends
 
 
 DecompositionTree = Union[HLeaf, HNode]
@@ -385,12 +469,14 @@ def decompose(h: Hypergraph) -> DecompositionTree:
 
     The levels are those of ``gluing_preorder``, whose tree certifies
     1-Spernerness by the gluing lemma. The O(m^2) pair scan runs only when
-    that certificate fails, to name the witness pair.
+    that certificate fails, to name the witness pair. The tree is an
+    ``HNode`` view of the scan's preorder list, so no node is built; an
+    input with no vertex gives its leaf.
     """
     order = gluing_preorder(h)
     if order is None:
         raise _not_one_sperner(h)
-    return fold_preorder(order, lambda leaf: leaf, HNode)
+    return order[0] if len(order) == 1 else HNode._view(order, 0, [])
 
 
 def _not_one_sperner(h: Hypergraph) -> HypergraphError:
@@ -409,7 +495,9 @@ def preorder(tree, leaf_type: type = HLeaf) -> Iterator[tuple[object, int]]:
     only. Items of ``leaf_type`` are leaves and the others inner nodes
     with ``left`` and ``right``; this serves gluing trees (``HLeaf``) and
     M[a,b] trees (``decomposition.DecompLeaf``) alike. Together with
-    ``fold_preorder`` it is the one walk over a finished tree."""
+    ``fold_preorder`` it is the one walk over a finished M[a,b] tree; a
+    gluing tree's library code reads its stored list instead
+    (``marked_preorder``)."""
     stack = [(tree, 0)]
     while stack:
         item = stack.pop()
@@ -423,7 +511,10 @@ def marked_preorder(tree, leaf_type: type = HLeaf, label=lambda t: t.z) -> tuple
     """The leaves of ``tree`` and ``label(node)`` of its inner nodes, in
     preorder. Leaves and labels differ in type, and a full binary tree is
     fixed by its preorder with leaves marked, so two trees are equal iff
-    these tuples are."""
+    these tuples are. A gluing tree stores this preorder (``HNode``), and
+    gives a copy of it."""
+    if isinstance(tree, HNode):
+        return tuple(tree._slice())
     return tuple(t if isinstance(t, leaf_type) else label(t)
                  for t, _ in preorder(tree, leaf_type))
 
@@ -448,18 +539,42 @@ def recompose(tree: DecompositionTree) -> Hypergraph:
     """The hypergraph a decomposition tree glues together.
 
     Leaves have no vertices, so the vertex set is the set of the nodes'
-    z; a z that occurs twice raises HypergraphError. Gluing runs in
-    postorder on masks over the sorted z's, without recursion.
+    z; a z that occurs twice raises HypergraphError. Masks are over the
+    sorted z's.
+
+    Theorem: a leaf that holds the empty hyperedge contributes one
+    hyperedge, the OR over the nodes on its root path of {z} where the
+    path turns left and of the left subtree's vertex set where it turns
+    right; the other leaf contributes none. Proof: glue(H1, H2, z) maps a
+    hyperedge e of H1 to {z} + e and f of H2 to V1 + f, so unfolding it
+    from the leaf up adds one of these per node on the path to the
+    leaf's only hyperedge, the empty one.
+
+    So one forward pass over the preorder suffices. ``path`` is the OR
+    for the current item. ``turns`` keeps, per node whose left subtree
+    the pass is in, the node's ``path`` and the z's seen up to the node.
+    In preorder the right turn at a node comes right after its left
+    subtree, so the left subtree's vertex set is the z's seen since the
+    node, and no hyperedge list is copied at any node.
     """
-    order = [t for t, _ in preorder(tree)]
-    frame = Hypergraph(t.z for t in order if isinstance(t, HNode))
-
-    def node(t: HNode, left, right):
-        (v1, e1), (v2, e2) = left, right
-        zb = 1 << frame.position(t.z)
-        return v1 | v2 | zb, _glue_masks(e1, e2, v1, zb)
-
-    _, masks = fold_preorder(order, lambda leaf: (0, leaf.base.edge_masks), node)
+    items = marked_preorder(tree)
+    frame = Hypergraph(x for x in items if not isinstance(x, HLeaf))
+    pos = frame._pos
+    masks = []
+    path = seen = 0
+    turns = []
+    for x in items:
+        if isinstance(x, HLeaf):
+            if x.base.edge_masks:
+                masks.append(path)
+            if turns:
+                path, at = turns.pop()
+                path |= seen ^ at
+        else:
+            zb = 1 << pos[x]
+            seen |= zb
+            turns.append((path, seen))
+            path |= zb
     return Hypergraph.from_masks(frame.vertices, masks)
 
 

@@ -30,9 +30,9 @@ class ParseError(ValueError):
 
 def _tokenized_lines(text: str):
     for i, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            yield i, body.split()
+        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
+        if toks:
+            yield i, toks
 
 
 def _header(text: str, item: str) -> tuple[int, list]:
@@ -57,20 +57,25 @@ def _header(text: str, item: str) -> tuple[int, list]:
 
 def read_hypergraph(text: str) -> Hypergraph:
     """Vertex tokens are looked up in one table from the canonical
-    spellings "0" .. "n-1" to their vertex bits. A line with any other
-    token, or with a size token other than the canonical count, is read
-    with ``int()`` by ``_checked_vertices``, so other spellings and every
-    error read as the plain integer parse gives them."""
+    spellings "0" .. "n-1" to their vertex bits, and a line's mask is
+    their sum; its size token must be the canonical spelling of its
+    vertex count. A line with any other token or size is read with
+    ``int()`` by ``_checked_vertices``, so other spellings and every error
+    read as the plain integer parse gives them."""
     n, lines = _header(text, "hyperedge")
-    bit_of = {str(v): 1 << v for v in range(n)}
+    sizes = [str(k) for k in range(n + 1)]
+    bit_of = {sizes[v]: 1 << v for v in range(n)}
     masks = []
     for ln, toks in lines[1:]:
-        vbits = list(map(bit_of.get, toks[1:]))
-        if None in vbits or toks[0] != str(len(vbits)):
-            vbits = [1 << v for v in _checked_vertices(toks, n, ln)]
-        m = sum(vbits)
+        k = len(toks) - 1
+        try:
+            if k > n or toks[0] != sizes[k]:
+                raise KeyError
+            m = sum(map(bit_of.__getitem__, toks[1:]))
+        except KeyError:
+            m = sum(1 << v for v in _checked_vertices(toks, n, ln))
         # the bits of distinct vertices never carry
-        if m.bit_count() != len(vbits):
+        if m.bit_count() != k:
             raise ParseError("repeated vertex inside a hyperedge", ln)
         masks.append(m)
     if len(set(masks)) != len(masks):

@@ -12,6 +12,10 @@ Rewrite it only when a change of CLI output is intended and explained.
 With ``--diff`` the cases are recorded and compared with the committed
 fixture instead: per command, the number of cases whose input files,
 exit code, stdout or stderr changed is printed, and nothing is written.
+The exit code is then 1 when any case changed or the case count did,
+so CI can run it after the tests:
+
+    PYTHONPATH=src python3 tests/make_cli_golden.py --diff
 """
 
 from __future__ import annotations
@@ -224,6 +228,7 @@ if __name__ == "__main__":
     if sys.argv[1:]:
         committed = json.loads(FIXTURE.read_text(encoding="utf-8"))
         print("\n".join(diff(committed, cases)))
+        raise SystemExit(int(committed != cases))
     else:
         FIXTURE.write_text("[\n" + ",\n".join(json.dumps(c, sort_keys=True)
                                                  for c in cases) + "\n]\n",

@@ -32,7 +32,11 @@ tested the gluing lemma. The
 maximal-clique enumeration is the recursive Bron-Kerbosch the library's
 stack-based one replaced. The M[a,b] partition check here takes the
 parts as frozensets and tests every constrained pair by ``has_edge``, as
-the library's did before partitions held vertex masks.
+the library's did before partitions held vertex masks. The gluing-tree
+recomposition and printer at the end walk the tree's nodes and fold the
+hyperedge lists up the tree, as the library's did before gluing trees
+became views of their preorder, and the reader there is the library's
+before it summed each line's bits in one ``map``.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ from sperner.cliquewidth import (AddEdges, ExpressionError, ExpressionParseError
                                  postorder)
 from sperner.decomposition import (DecompLeaf, DecompNode, DecompositionError,
                                    GraphDecompositionTree, MPartition, m_matrix)
-from sperner.hypergraph import HLeaf, Hypergraph, glue, is_one_sperner
+from sperner.hypergraph import (HLeaf, HNode, Hypergraph, fold_preorder, glue,
+                                is_one_sperner, preorder)
 from sperner.textio import ParseError, _checked_vertices, _header
 from sperner.graphs import Graph
 
@@ -777,3 +782,79 @@ def gluing_chain_by_pair_check(steps: int, seed: int) -> Hypergraph:
                 h = glued
                 break
     return h
+
+
+# ---------------------------------------------------------------------------
+# Gluing trees walked node by node, and the reader before the one-map sum
+# ---------------------------------------------------------------------------
+
+def recompose_by_fold(tree) -> Hypergraph:
+    """The hypergraph a gluing tree glues together, folded bottom-up over
+    the tree's subtrees: every node concatenates {z} + e over its left
+    part's hyperedges and V1 + f over its right part's."""
+    order = [t for t, _ in preorder(tree)]
+    frame = Hypergraph(t.z for t in order if isinstance(t, HNode))
+
+    def node(t, left, right):
+        (v1, e1), (v2, e2) = left, right
+        zb = 1 << frame.position(t.z)
+        return v1 | v2 | zb, [zb | e for e in e1] + [v1 | f for f in e2]
+
+    _, masks = fold_preorder(order, lambda leaf: (0, leaf.base.edge_masks), node)
+    return Hypergraph.from_masks(frame.vertices, masks)
+
+
+def hyper_tree_text_by_walk(tree) -> str:
+    """``sperner decompose``'s tree text, from the (subtree, depth) walk."""
+    lines = []
+    for t, depth in preorder(tree):
+        pad = "  " * depth
+        if isinstance(t, HLeaf):
+            edges = "{}" if not t.base.edge_masks else "{{}}"
+            lines.append(f"{pad}leaf edges={edges}")
+        else:
+            lines.append(f"{pad}z={t.z}")
+    return "\n".join(lines)
+
+
+def tokenized_lines_stripped(text: str):
+    """(line number, tokens) of the non-blank lines, comments cut off by
+    one split on "#" per line."""
+    for i, raw in enumerate(text.splitlines(), start=1):
+        body = raw.split("#", 1)[0].strip()
+        if body:
+            yield i, body.split()
+
+
+def read_hypergraph_by_bit_lists(text: str) -> Hypergraph:
+    """Hypergraph text read with one table from the canonical spellings
+    to vertex bits, building each line's list of bits; other spellings
+    go through the library's integer fallback. The header is checked as
+    the library's ``_header`` does, over ``tokenized_lines_stripped``."""
+    lines = list(tokenized_lines_stripped(text))
+    if not lines:
+        raise ParseError("empty input, expected 'n m' header", 1)
+    ln, head = lines[0]
+    if len(head) != 2:
+        raise ParseError("header must be 'n m'", ln)
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        raise ParseError("header values must be integers", ln) from None
+    if n < 0 or m < 0:
+        raise ParseError("header values must be non-negative", ln)
+    if len(lines) - 1 != m:
+        raise ParseError(f"expected {m} hyperedge lines, found {len(lines) - 1}", ln)
+    bit_of = {str(v): 1 << v for v in range(n)}
+    masks = []
+    for ln, toks in lines[1:]:
+        vbits = list(map(bit_of.get, toks[1:]))
+        if None in vbits or toks[0] != str(len(vbits)):
+            vbits = [1 << v for v in _checked_vertices(toks, n, ln)]
+        mask = sum(vbits)
+        if mask.bit_count() != len(vbits):
+            raise ParseError("repeated vertex inside a hyperedge", ln)
+        masks.append(mask)
+    if len(set(masks)) != len(masks):
+        raise ParseError("duplicate hyperedges", lines[0][0])
+    return Hypergraph.from_masks(range(n), masks)
