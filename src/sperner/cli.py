@@ -3,7 +3,8 @@
 Subcommands: hyp-check, decompose, cwd, eval, dominate, generate, sweep.
 Exit codes: 0 = success / all predicates hold / no disagreement, 1 = some
 predicate is false or a disagreement was found, 2 = usage or parse error,
-an input outside the requested class, a size cap, or a failed self-check.
+an input outside the requested class, a size cap, a failed self-check, or
+a stdout closed by its reader (``| head``; nothing more is printed).
 Every randomized command embeds its seed in the output.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 
@@ -28,7 +30,7 @@ from .generators import (random_bigraph_2p3_free, random_one_sperner,
 from .graphs import Graph, GraphError, find_induced  # noqa: F401
 from .hypergraph import (HLeaf, Hypergraph, HypergraphError, decompose,
                          is_conformal, is_dually_sperner, is_one_sperner,
-                         is_sperner, marked_preorder, recompose)
+                         is_sperner, preorder_depths, recompose)
 from .sweeps import SUITES
 from .threshold import (ThresholdError, ThresholdWitness, k_asummability_witness,
                         threshold_certificate)
@@ -98,21 +100,16 @@ def cmd_decompose(args) -> int:
 
 
 def _hyper_tree_text(tree) -> str:
-    """One line per node in preorder, indented two spaces per level. The
-    items come from the tree's stored preorder; a node's children follow
-    it, left first, so a stack of the depths still to come gives every
-    item its depth."""
+    """One line per node in preorder, indented two spaces per level
+    (``preorder_depths``)."""
     lines = []
-    depths = [0]
-    for x in marked_preorder(tree):
-        depth = depths.pop()
+    for x, depth in preorder_depths(tree):
         pad = "  " * depth
         if isinstance(x, HLeaf):
             edges = "{}" if not x.base.edge_masks else "{{}}"
             lines.append(f"{pad}leaf edges={edges}")
         else:
             lines.append(f"{pad}z={x}")
-            depths += (depth + 1, depth + 1)
     return "\n".join(lines)
 
 
@@ -268,11 +265,20 @@ def main(argv=None) -> int:
     # so a cmd_* rebound on this module after the parser was built runs
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        code = command(args)
+        sys.stdout.flush()          # a closed pipe raises here, not at exit
+        return code
     except (textio.ParseError, ExpressionError, HypergraphError, GraphError,
             DecompositionError, DominationError, ThresholdError,
             FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at os.devnull (the Python docs'
+        # idiom), so the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 2
 
 

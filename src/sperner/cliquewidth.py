@@ -9,8 +9,8 @@ A k-expression builds a labeled graph with the operations
 * ``adde i j`` - add every edge between label-i and label-j vertices.
 
 The builders fold a matrix-partition decomposition tree bottom-up, with
-no recursion: ``hypergraph.preorder`` lists its subtrees and
-``hypergraph.fold_preorder`` folds them. At every node z gets label 1;
+no recursion: ``hypergraph.fold_preorder`` folds the tree's stored
+preorder list of partitions and leaves. At every node z gets label 1;
 the left child is relabeled into labels (2, 4) and the right child into
 (3, 5), where the first label of each pair holds the child's z-side
 vertices; then one add-edges operation is emitted per 1-entry of the
@@ -35,12 +35,12 @@ from functools import cached_property
 from typing import Optional, Union
 
 from .bitset import bits
-from .decomposition import (DecompLeaf, DecompNode, GraphDecompositionTree,
+from .decomposition import (DecompLeaf, GraphDecompositionTree, MPartition,
                             decompose_bigraph_2p3_free, decompose_cobigraph,
                             decompose_split_h_free, decompose_split_hbar_free,
                             m_matrix)
 from .graphs import Graph, LabeledBigraph, LabeledSplitGraph
-from .hypergraph import fold_preorder, preorder
+from .hypergraph import fold_preorder, marked_preorder
 
 
 class ExpressionError(ValueError):
@@ -441,8 +441,7 @@ def build_from_tree(tree: GraphDecompositionTree) -> Optional[KExpression]:
         label = 1 if t.on_z_side else 4
         return Leaf(label, t.vertex), 1 << label - 1
 
-    def node(t: DecompNode, left, right):
-        p = t.partition
+    def node(p: MPartition, left, right):
         acc: KExpression = Leaf(1, p.z)
         have = 1
         for sub, relabels in ((left, _LEFT_RELABELS), (right, _RIGHT_RELABELS)):
@@ -460,7 +459,7 @@ def build_from_tree(tree: GraphDecompositionTree) -> Optional[KExpression]:
                 acc = AddEdges(i, j, acc)
         return acc, have
 
-    done = fold_preorder([t for t, _ in preorder(tree, DecompLeaf)], leaf, node, DecompLeaf)
+    done = fold_preorder(marked_preorder(tree), leaf, node, DecompLeaf)
     return None if done is None else done[0]
 
 

@@ -17,10 +17,14 @@ with rows/columns indexed by the z-singleton, the two parts sharing z's
 side, and the two parts of the other side; (a, b) is (0,1), (1,0), (0,0),
 (1,1) for the four classes respectively. The two children (part1 + part3,
 part2 + part4) stay in their class, so the recursion bottoms out at
-single vertices. A node is an ``MPartition``: the z-singleton and the
-four parts as vertex masks over graph ids, as the core computes them.
-Constructing one checks its shape, and ``validate_m_partition(g,
-partition)`` checks it against the graph.
+single vertices. A node's label is an ``MPartition``: the z-singleton
+and the four parts as vertex masks over graph ids, as the core computes
+them. Constructing one checks its shape, and ``validate_m_partition(g,
+partition)`` checks it against the graph. A tree is a ``DecompNode``
+view of the core's preorder list of partitions and leaves, as a gluing
+tree is (``hypergraph.PreorderView``); the builders fold that list and
+``tree_to_text`` prints it from the one depth walk of both tree kinds
+(``hypergraph.preorder_depths``).
 
 The search for z is the hypergraph one. A level with z-side Z and other
 side O is the hypergraph on Z whose hyperedges are N(k) & Z for k in O;
@@ -55,13 +59,13 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .bitset import bits, containment_pair, mask_of, popcount
 from .graphs import (Graph, GraphError, LabeledBigraph, LabeledSplitGraph,
                      find_bipartition, find_induced, find_split_partition,
                      pattern)
-from .hypergraph import fold_preorder, gluing_split, marked_preorder, preorder
+from .hypergraph import PreorderView, gluing_split, preorder_depths
 
 
 class DecompositionError(ValueError):
@@ -259,53 +263,39 @@ class DecompLeaf:
     on_z_side: bool
 
 
-@dataclass(frozen=True, eq=False)
-class DecompNode:
-    """Trees compare and hash by ``hypergraph.marked_preorder`` over their
-    partitions, without recursion."""
-    partition: MPartition
-    left: "GraphDecompositionTree"
-    right: "GraphDecompositionTree"
+class DecompNode(PreorderView):
+    """M[a,b] node: its ``partition`` and two children, as a view of a
+    preorder of ``MPartition`` and ``DecompLeaf`` items (``PreorderView``)."""
+
+    __slots__ = ()
+    LEAF = DecompLeaf
+    _LABEL = "partition"
+    partition = PreorderView._label
 
     @property
     def z(self) -> int:
         return self.partition.z
 
-    def __eq__(self, other):
-        return isinstance(other, DecompNode) and _marked(self) == _marked(other)
-
-    def __hash__(self):
-        return hash(_marked(self))
-
 
 GraphDecompositionTree = Union[DecompLeaf, DecompNode]
 
 
-def _marked(tree: GraphDecompositionTree) -> tuple:
-    return marked_preorder(tree, DecompLeaf, lambda t: t.partition)
-
-
-def iter_nodes(tree: GraphDecompositionTree) -> Iterator[DecompNode]:
-    """The inner nodes in preorder."""
-    return (t for t, _ in preorder(tree, DecompLeaf) if isinstance(t, DecompNode))
-
-
 def tree_to_text(tree: GraphDecompositionTree) -> str:
-    """One node per line in preorder, indented two spaces per level: z,
-    the four parts, and the matrix tag."""
+    """One node per line in preorder, indented two spaces per level
+    (``hypergraph.preorder_depths``): z, the four parts, and the matrix
+    tag."""
     lines = []
     names: list[str] = []
-    for t, depth in preorder(tree, DecompLeaf):
+    for x, depth in preorder_depths(tree, DecompLeaf):
         pad = "  " * depth
-        if isinstance(t, DecompNode):
-            p = t.partition
-            partstr = ",".join("{" + _id_list(s, names) + "}" for s in p.parts[1:])
-            lines.append(f"{pad}z={p.z} | parts: {partstr} | M[{p.a},{p.b}]\n")
-        elif t.vertex is None:
+        if isinstance(x, MPartition):
+            partstr = ",".join("{" + _id_list(s, names) + "}" for s in x.parts[1:])
+            lines.append(f"{pad}z={x.z} | parts: {partstr} | M[{x.a},{x.b}]\n")
+        elif x.vertex is None:
             lines.append(f"{pad}leaf empty\n")
         else:
-            side = "z-side" if t.on_z_side else "other-side"
-            lines.append(f"{pad}leaf v={t.vertex} ({side})\n")
+            side = "z-side" if x.on_z_side else "other-side"
+            lines.append(f"{pad}leaf v={x.vertex} ({side})\n")
     return "".join(lines)
 
 
@@ -350,7 +340,8 @@ def _decompose_core(g: Graph, zside: int, other: int, a: int, b: int,
     N(k) & part2 (k in part4) are the split's E1 and E2, in the order of
     k. ``hypergraph.gluing_split`` finds the lowest such bit, which is the
     lowest vertex id. The levels are walked on an explicit stack in
-    preorder, so depth is limited by memory only.
+    preorder, so depth is limited by memory only; a view of that list is
+    the tree.
     """
     adj = g.adj
     order: list = []                # preorder: DecompLeaf or MPartition
@@ -384,7 +375,7 @@ def _decompose_core(g: Graph, zside: int, other: int, a: int, b: int,
         order.append(MPartition((zb, p1, p2, p3, p4), a, b))
         todo.append((p2, p4, e2))
         todo.append((p1, p3, e1))
-    return fold_preorder(order, lambda leaf: leaf, DecompNode, DecompLeaf)
+    return DecompNode._view(order, 0, [])
 
 
 # ---------------------------------------------------------------------------

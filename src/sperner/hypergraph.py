@@ -36,12 +36,13 @@ The central structural facts implemented here:
   by {z} on one side and by (V1 \\ e) + f on the other, which is empty
   exactly when e = V1 and f is empty. So a decomposition tree certifies
   1-Spernerness once every node passes this test;
-* a gluing tree is stored as its preorder list, the nodes' z and the
-  leaves, left subtree first. ``HNode`` is a view (list, index) of it,
-  and the tree recomposes in one forward pass over the list: unfolding
-  the gluings, a leaf with the empty hyperedge gives the OR over its
-  root path of {z} at each left turn and V(left subtree) at each right
-  turn (``recompose``).
+* gluing trees (``HNode``, labelled by z) and M[a,b] trees
+  (``decomposition.DecompNode``) are views (list, index) of one preorder
+  list, the labels and leaves, left subtree first (``PreorderView``),
+  printed from one depth walk (``preorder_depths``). A gluing tree
+  recomposes in one forward pass over the list: a leaf with the empty
+  hyperedge gives the OR over its root path of {z} at each left turn and
+  V(left subtree) at each right turn (``recompose``).
 
 Transversal (minimal hitting set) machinery and conformality testing live
 here as well; both are exact and meant for desk-scale inputs.
@@ -298,54 +299,64 @@ class HLeaf:
             raise HypergraphError("leaf must have zero vertices")
 
 
-class HNode:
-    """Gluing node: recompose as glue(recompose(left), recompose(right), z).
-
-    A node is a view (items, i) of a gluing tree's preorder: ``items``
-    lists the nodes' z and the leaves (``HLeaf``), left subtree first, as
-    ``gluing_preorder`` returns them, and the node is the subtree that
-    starts at ``items[i]``. ``z``, ``left`` and ``right`` are read from the
-    list. ``right`` needs the end of the left subtree; the ends of all
-    subtrees are computed once per list, in one reversed pass, and shared
-    by every view of it. ``decompose`` returns a view of the scan's own
-    list. The constructor copies [z] + the items of ``left`` + those of
-    ``right`` into a new list, so hand-built and decomposed trees have one
-    representation. Trees compare and hash by ``marked_preorder``, a slice
-    of the list, without recursion.
+class PreorderView:
+    """A tree node as a view (items, i) of its tree's preorder: ``items``
+    lists the nodes' labels and the leaves (of the subclass's ``LEAF``
+    type; ``_LABEL`` names the label in ``repr``), left subtree first, and
+    the node is the subtree that starts at ``items[i]``. The label,
+    ``left`` and ``right`` are read from the list. ``right`` needs the end
+    of the left subtree; the ends of all subtrees are computed once per
+    list, in one reversed pass, and shared by every view of it. The
+    decompositions return ``_view`` of their own list, so they build no
+    node. The constructor copies [label] + the items of ``left`` + those
+    of ``right`` into a new list, so hand-built and decomposed trees have
+    one representation. Trees compare and hash by ``marked_preorder``, a
+    slice of the list, without recursion.
     """
 
     __slots__ = ("_items", "_i", "_ends")
 
-    def __init__(self, z, left: "DecompositionTree", right: "DecompositionTree"):
-        self._items = [z, *_tree_items(left), *_tree_items(right)]
+    def __init__(self, label, left, right):
+        self._items = [label, *self._tree_items(left), *self._tree_items(right)]
         self._i = 0
         self._ends: list[int] = []  # every subtree's end, filled on first use
 
     @classmethod
-    def _view(cls, items: list, i: int, ends: list) -> "HNode":
+    def _view(cls, items: list, i: int, ends: list):
+        """The subtree that starts at ``items[i]``: the leaf itself, or a
+        view that shares the list ``ends`` with every view of ``items``."""
+        if isinstance(items[i], cls.LEAF):
+            return items[i]
         node = object.__new__(cls)
         node._items, node._i, node._ends = items, i, ends
         return node
 
+    @classmethod
+    def _tree_items(cls, tree) -> list:
+        """The preorder items of a tree: its slice for a node, the leaf
+        itself for a leaf."""
+        if isinstance(tree, cls):
+            return tree._slice()
+        if isinstance(tree, cls.LEAF):
+            return [tree]
+        raise TypeError(f"a {cls.__name__} child must be {cls.__name__} or "
+                        f"{cls.LEAF.__name__}, not {type(tree).__name__}")
+
     @property
-    def z(self):
+    def _label(self):
         return self._items[self._i]
 
     @property
-    def left(self) -> "DecompositionTree":
-        return self._child(self._i + 1)
+    def left(self):
+        return self._view(self._items, self._i + 1, self._ends)
 
     @property
-    def right(self) -> "DecompositionTree":
-        return self._child(self._end(self._i + 1))
-
-    def _child(self, j: int) -> "DecompositionTree":
-        x = self._items[j]
-        return x if isinstance(x, HLeaf) else HNode._view(self._items, j, self._ends)
+    def right(self):
+        return self._view(self._items, self._end(self._i + 1), self._ends)
 
     def _end(self, j: int) -> int:
         if not self._ends:
-            self._ends.extend(_subtree_ends(self._items))
+            self._ends.extend(_subtree_ends(self._items, self.LEAF))
         return self._ends[j]
 
     def _slice(self) -> list:
@@ -354,27 +365,29 @@ class HNode:
         return self._items[i:self._end(i)] if i else self._items
 
     def __eq__(self, other):
-        return isinstance(other, HNode) and self._slice() == other._slice()
+        return type(other) is type(self) and self._slice() == other._slice()
 
     def __hash__(self):
         return hash(tuple(self._slice()))
 
     def __repr__(self):
+        head = f"{type(self).__name__}({self._LABEL}="
         return fold_preorder(self._slice(), repr,
-                             lambda z, l, r: f"HNode(z={z!r}, left={l}, right={r})")
+                             lambda x, l, r: f"{head}{x!r}, left={l}, right={r})",
+                             self.LEAF)
 
 
-def _tree_items(tree: "DecompositionTree") -> list:
-    """The preorder items of a gluing tree: its slice for a node, the leaf
-    itself for a leaf."""
-    if isinstance(tree, HNode):
-        return tree._slice()
-    if isinstance(tree, HLeaf):
-        return [tree]
-    raise TypeError(f"a gluing tree child must be HNode or HLeaf, not {type(tree).__name__}")
+class HNode(PreorderView):
+    """Gluing node: recompose as glue(recompose(left), recompose(right), z).
+    A view of the preorder ``gluing_preorder`` lists (``PreorderView``)."""
+
+    __slots__ = ()
+    LEAF = HLeaf
+    _LABEL = "z"
+    z = PreorderView._label
 
 
-def _subtree_ends(items: list) -> list[int]:
+def _subtree_ends(items: list, leaf_type: type) -> list[int]:
     """ends[j] is one past the last item of the subtree that starts at
     ``items[j]``. Reversed preorder meets both subtrees of a node before
     the node, the left one last, so a stack of the pending subtrees' ends
@@ -383,7 +396,7 @@ def _subtree_ends(items: list) -> list[int]:
     ends = [0] * len(items)
     pending: list[int] = []
     for j in range(len(items) - 1, -1, -1):
-        if isinstance(items[j], HLeaf):
+        if isinstance(items[j], leaf_type):
             pending.append(j + 1)
         else:
             pending.pop()
@@ -476,7 +489,7 @@ def decompose(h: Hypergraph) -> DecompositionTree:
     order = gluing_preorder(h)
     if order is None:
         raise _not_one_sperner(h)
-    return order[0] if len(order) == 1 else HNode._view(order, 0, [])
+    return HNode._view(order, 0, [])
 
 
 def _not_one_sperner(h: Hypergraph) -> HypergraphError:
@@ -489,42 +502,33 @@ def _not_one_sperner(h: Hypergraph) -> HypergraphError:
     return NotOneSpernerError(*bad)
 
 
-def preorder(tree, leaf_type: type = HLeaf) -> Iterator[tuple[object, int]]:
-    """(subtree, depth) for every subtree of ``tree`` in preorder, left
-    subtree first, from an explicit stack, so depth is limited by memory
-    only. Items of ``leaf_type`` are leaves and the others inner nodes
-    with ``left`` and ``right``; this serves gluing trees (``HLeaf``) and
-    M[a,b] trees (``decomposition.DecompLeaf``) alike. Together with
-    ``fold_preorder`` it is the one walk over a finished M[a,b] tree; a
-    gluing tree's library code reads its stored list instead
-    (``marked_preorder``)."""
-    stack = [(tree, 0)]
-    while stack:
-        item = stack.pop()
-        yield item
-        t, depth = item
-        if not isinstance(t, leaf_type):
-            stack += ((t.right, depth + 1), (t.left, depth + 1))
+def marked_preorder(tree) -> tuple:
+    """The leaves of ``tree`` and the labels of its inner nodes, in
+    preorder: a copy of the stored list's slice for a ``PreorderView``,
+    the leaf alone for a leaf. Leaves and labels differ in type, and a
+    full binary tree is fixed by its preorder with leaves marked, so two
+    trees are equal iff these tuples are."""
+    return tuple(tree._slice()) if isinstance(tree, PreorderView) else (tree,)
 
 
-def marked_preorder(tree, leaf_type: type = HLeaf, label=lambda t: t.z) -> tuple:
-    """The leaves of ``tree`` and ``label(node)`` of its inner nodes, in
-    preorder. Leaves and labels differ in type, and a full binary tree is
-    fixed by its preorder with leaves marked, so two trees are equal iff
-    these tuples are. A gluing tree stores this preorder (``HNode``), and
-    gives a copy of it."""
-    if isinstance(tree, HNode):
-        return tuple(tree._slice())
-    return tuple(t if isinstance(t, leaf_type) else label(t)
-                 for t, _ in preorder(tree, leaf_type))
+def preorder_depths(tree, leaf_type: type = HLeaf) -> Iterator[tuple[object, int]]:
+    """(item, depth) for every item of ``marked_preorder(tree)``: the one
+    walk of both tree printers. A node's children follow it, left first,
+    so a stack of the depths still to come gives every item its depth."""
+    depths = [0]
+    for x in marked_preorder(tree):
+        depth = depths.pop()
+        yield x, depth
+        if not isinstance(x, leaf_type):
+            depths += (depth + 1, depth + 1)
 
 
 def fold_preorder(order: list, leaf, node, leaf_type: type = HLeaf):
     """Fold a tree given in preorder bottom-up, without recursion:
     ``leaf(x)`` for each item x of ``leaf_type`` and ``node(x, left,
-    right)`` for the other items. Reversed preorder meets both subtrees of
-    an item before the item, the left one last. The items may be labels
-    (``gluing_preorder``) or the subtrees ``preorder`` yields."""
+    right)`` for the other items, the nodes' labels. Reversed preorder
+    meets both subtrees of an item before the item, the left one last.
+    The list is a stored one (``marked_preorder``, ``gluing_preorder``)."""
     built: list = []
     for x in reversed(order):
         if isinstance(x, leaf_type):

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 from .bitset import bits, mask_of
 from .cliquewidth import (built, evaluate, expression_length, max_label,
                           parse_expression)
-from .decomposition import (DecompLeaf, DecompNode, decompose_bigraph_2p3_free,
+from .decomposition import (DecompLeaf, MPartition, decompose_bigraph_2p3_free,
                             decompose_cobigraph, decompose_split_h_free,
                             decompose_split_hbar_free, is_clique_sperner,
                             is_independent_sperner, is_right_sperner,
@@ -33,7 +33,7 @@ from .graphs import (Graph, LabeledSplitGraph, bigraph_of,
                      find_induced, pattern, vertex_clique_split_of)
 from .hypergraph import (Hypergraph, decompose, dual_masks, is_conformal,
                          is_dually_sperner, is_k_sperner, is_one_sperner,
-                         is_sperner, preorder, recompose, transversal)
+                         is_sperner, marked_preorder, recompose, transversal)
 from .recognition import check_domishold_equivalences, check_threshold_equivalences
 from .threshold import is_k_asummable, is_threshold_hypergraph
 
@@ -346,10 +346,9 @@ def _check_decomposition(name: str, inst, rep: SweepReport):
     a, b = _CLASSES[name].ab
     tree, g = _CLASSES[name].decompose(inst), _graph_of(inst)
     h_pat = pattern("H") if name == "split-H" else None
-    items = [t for t, _ in preorder(tree, DecompLeaf)]
-    nodes = [t for t in items if isinstance(t, DecompNode)]
-    for node in nodes:
-        p = node.partition
+    items = marked_preorder(tree)
+    partitions = [x for x in items if isinstance(x, MPartition)]
+    for p in partitions:
         if (p.a, p.b) != (a, b):
             rep.flag(f"{name} {g}: node tagged M[{p.a},{p.b}], expected M[{a},{b}]")
             return
@@ -358,15 +357,14 @@ def _check_decomposition(name: str, inst, rep: SweepReport):
             rep.flag(f"{name} {g}: node at z={p.z} violates its matrix at {pair}")
             return
     # leaves and z's cover the vertex set exactly once, counted as a multiset
-    leaves = [t.vertex for t in items if isinstance(t, DecompLeaf) and t.vertex is not None]
-    covered = sorted([x.z for x in nodes] + leaves)
+    leaves = [x.vertex for x in items if isinstance(x, DecompLeaf) and x.vertex is not None]
+    covered = sorted([p.z for p in partitions] + leaves)
     if covered != list(range(g.n)):
         rep.flag(f"{name} {g}: tree covers {covered}")
         return
     # children of the split-H decomposition stay in class
     if name == "split-H":
-        for node in nodes:
-            p = node.partition
+        for p in partitions:
             for kpart, ipart in ((p.parts[3], p.parts[1]), (p.parts[4], p.parts[2])):
                 sub, ids = g.induced_with_map(bits(kpart | ipart))
                 pos = {v: i for i, v in enumerate(ids)}

@@ -36,7 +36,10 @@ the library's did before partitions held vertex masks. The gluing-tree
 recomposition and printer at the end walk the tree's nodes and fold the
 hyperedge lists up the tree, as the library's did before gluing trees
 became views of their preorder, and the reader there is the library's
-before it summed each line's bits in one ``map``.
+before it summed each line's bits in one ``map``. ``preorder`` is the
+(subtree, depth) walk over node objects that the library used before
+both tree kinds became views of their preorder lists, and the M[a,b]
+tree printer there reads it, as the library's did.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from sperner.cliquewidth import (AddEdges, ExpressionError, ExpressionParseError
 from sperner.decomposition import (DecompLeaf, DecompNode, DecompositionError,
                                    GraphDecompositionTree, MPartition, m_matrix)
 from sperner.hypergraph import (HLeaf, HNode, Hypergraph, fold_preorder, glue,
-                                is_one_sperner, preorder)
+                                is_one_sperner)
 from sperner.textio import ParseError, _checked_vertices, _header
 from sperner.graphs import Graph
 
@@ -785,8 +788,40 @@ def gluing_chain_by_pair_check(steps: int, seed: int) -> Hypergraph:
 
 
 # ---------------------------------------------------------------------------
-# Gluing trees walked node by node, and the reader before the one-map sum
+# Trees walked node by node, and the reader before the one-map sum
 # ---------------------------------------------------------------------------
+
+def preorder(tree, leaf_type: type = HLeaf):
+    """(subtree, depth) for every subtree of ``tree`` in preorder, left
+    subtree first, from an explicit stack. Items of ``leaf_type`` are
+    leaves and the others inner nodes with ``left`` and ``right``; this
+    serves gluing trees (``HLeaf``) and M[a,b] trees (``DecompLeaf``)."""
+    stack = [(tree, 0)]
+    while stack:
+        item = stack.pop()
+        yield item
+        t, depth = item
+        if not isinstance(t, leaf_type):
+            stack += ((t.right, depth + 1), (t.left, depth + 1))
+
+
+def tree_to_text_by_walk(tree: GraphDecompositionTree) -> str:
+    """``decomposition.tree_to_text``'s M[a,b] tree text, from the
+    (subtree, depth) walk over node objects."""
+    lines = []
+    for t, depth in preorder(tree, DecompLeaf):
+        pad = "  " * depth
+        if isinstance(t, DecompNode):
+            p = t.partition
+            parts = ",".join("{" + ",".join(map(str, bits(s))) + "}" for s in p.parts[1:])
+            lines.append(f"{pad}z={p.z} | parts: {parts} | M[{p.a},{p.b}]\n")
+        elif t.vertex is None:
+            lines.append(f"{pad}leaf empty\n")
+        else:
+            side = "z-side" if t.on_z_side else "other-side"
+            lines.append(f"{pad}leaf v={t.vertex} ({side})\n")
+    return "".join(lines)
+
 
 def recompose_by_fold(tree) -> Hypergraph:
     """The hypergraph a gluing tree glues together, folded bottom-up over

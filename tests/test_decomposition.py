@@ -16,14 +16,14 @@ from sperner.decomposition import (DecompLeaf, DecompNode, DecompositionError,
                                    find_right_sperner_bipartition,
                                    independent_sperner_partition, is_clique_sperner,
                                    is_independent_sperner, is_right_sperner,
-                                   iter_nodes, m_matrix, tree_to_text,
-                                   validate_m_partition)
+                                   m_matrix, tree_to_text, validate_m_partition)
 from sperner.generators import (random_bigraph_2p3_free, random_split_h_free,
                                 random_split_hbar_free)
 from sperner.graphs import (Graph, GraphError, LabeledBigraph, LabeledSplitGraph,
                             bigraph_of, edge_clique_split_of, find_induced,
                             pattern, vertex_clique_split_of)
-from sperner.hypergraph import Hypergraph, is_one_sperner, is_sperner
+from sperner.hypergraph import (Hypergraph, is_one_sperner, is_sperner,
+                                marked_preorder)
 
 
 def all_graphs(n):
@@ -284,9 +284,14 @@ class TestCobigraph:
             lb = random_bigraph_2p3_free(rng.randint(1, 12), rng)
             g = lb.g.complement()
             tree = decompose_cobigraph(g)
-            for node in iter_nodes(tree):
-                ok, pair = validate_m_partition(g, node.partition)
-                assert ok, (g, node.partition, pair)
+            for p in partitions(tree):
+                ok, pair = validate_m_partition(g, p)
+                assert ok, (g, p, pair)
+
+
+def partitions(tree):
+    """The partitions of a tree's inner nodes, in preorder."""
+    return [x for x in marked_preorder(tree) if isinstance(x, MPartition)]
 
 
 def _zside_of(tree):
@@ -330,8 +335,7 @@ class TestChildrenStayInClass:
         for _ in range(40):
             ls = random_split_h_free(rng.randint(2, 12), rng)
             tree = decompose_split_h_free(ls)
-            for node in iter_nodes(tree):
-                p = node.partition
+            for p in partitions(tree):
                 for kpart, ipart in ((p.parts[3], p.parts[1]), (p.parts[4], p.parts[2])):
                     sub, ids = ls.g.induced_with_map(bits(kpart | ipart))
                     pos = {v: i for i, v in enumerate(ids)}
@@ -347,8 +351,8 @@ def test_tree_serialization_roundtrippable_text():
     tree = decompose_split_h_free(ls)
     text = tree_to_text(tree)
     assert "M[0,1]" in text or "leaf" in text
-    for node in iter_nodes(tree):
-        assert f"z={node.z}" in text
+    for p in partitions(tree):
+        assert f"z={p.z}" in text
 
 
 def test_derived_hyperedges_are_one_sperner():

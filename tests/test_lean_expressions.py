@@ -151,16 +151,19 @@ def matching_chain(depth: int, last_on_z_side: bool = True):
     as its right, and the last right child is the z-side vertex
     2 * depth. It describes ``depth`` disjoint edges and one isolated
     vertex. ``last_on_z_side=False`` puts that last vertex on the other
-    side instead, which changes the tree at its deepest leaf only."""
-    tree = DecompLeaf(2 * depth, last_on_z_side)
+    side instead, which changes the tree at its deepest leaf only. Built
+    as its preorder list, in linear time: the node constructor copies
+    its children."""
+    items = [DecompLeaf(2 * depth, last_on_z_side)]
     evens, odds = 1 << 2 * depth, 0     # the vertices of the subtree below z
     for i in reversed(range(depth)):
         z, mate = 2 * i, 2 * i + 1
         parts = (1 << z, 0, evens, 1 << mate, odds)
-        tree = DecompNode(MPartition(parts, 0, 0), DecompLeaf(mate, False), tree)
+        items += (DecompLeaf(mate, False), MPartition(parts, 0, 0))
         evens |= 1 << z
         odds |= 1 << mate
-    return tree
+    items.reverse()
+    return DecompNode._view(items, 0, [])
 
 
 def test_deep_chain_at_default_recursion_limit():

@@ -95,19 +95,25 @@ DEPTH = 1200
 
 
 def parse_tree_text(text: str):
-    """The tree printed by ``sperner decompose``, rebuilt without recursion."""
+    """The tree printed by ``sperner decompose``, rebuilt as a view of its
+    preorder list: the lines are in preorder, and a full binary tree is
+    fixed by its preorder with leaves marked. Each line's indent must be
+    the depth that the items before it give."""
     leaves = {"leaf edges={}": HLeaf(Hypergraph([], [])),
               "leaf edges={{}}": HLeaf(Hypergraph([], [set()]))}
-    lines = [(len(s) - len(s.lstrip(" ")), s.strip()) for s in text.splitlines()]
-    built = []
-    for depth, body in reversed(lines):
+    items = []
+    depths = [0]
+    for line in text.splitlines():
+        body = line.lstrip(" ")
+        depth = depths.pop()
+        assert len(line) - len(body) == 2 * depth, line
         if body in leaves:
-            built.append((depth, leaves[body]))
+            items.append(leaves[body])
         else:
-            (_, left), (_, right) = built.pop(), built.pop()
-            built.append((depth, HNode(int(body[2:]), left, right)))
-    (_, tree), = built
-    return tree
+            items.append(int(body[2:]))
+            depths += (depth + 1, depth + 1)
+    assert not depths
+    return HNode._view(items, 0, [])
 
 
 def test_deep_chain_at_default_recursion_limit(tmp_path, capsys):

@@ -17,12 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 import sperner.cli as cli
 import sperner.hypergraph as hypergraph
-from oracles import (hyper_tree_text_by_walk, read_hypergraph_by_bit_lists,
-                     recompose_by_fold)
+from oracles import (hyper_tree_text_by_walk, preorder,
+                     read_hypergraph_by_bit_lists, recompose_by_fold)
 from sperner.generators import one_sperner_hypergraphs, random_one_sperner
 from sperner.hypergraph import (HLeaf, HNode, Hypergraph, decompose,
                                 fold_preorder, gluing_preorder, marked_preorder,
-                                preorder, recompose)
+                                recompose)
 from sperner.textio import ParseError, read_hypergraph, write_hypergraph
 
 

@@ -4,7 +4,8 @@ hash without recursion.
 ``HNode`` and ``DecompNode`` compare by their preorder with leaves marked
 (``hypergraph.marked_preorder``), which fixes a full binary tree. Each
 chain here is built twice, as distinct objects, and once with its
-deepest leaf changed.
+deepest leaf changed. The chains are built as views of their preorder
+lists, since the node constructors copy their children.
 """
 
 import sys
@@ -18,11 +19,12 @@ def gluing_chain_tree(depth: int, last_empty_edge: bool = True):
     """A gluing tree of ``depth`` nodes: the node of z = i has the leaf
     with no hyperedge as its left child and the next node as its right;
     the last right child is the leaf {{}}, or the leaf with no hyperedge
-    when ``last_empty_edge`` is False."""
-    tree = HLeaf(Hypergraph([], [set()] if last_empty_edge else []))
-    for z in reversed(range(depth)):
-        tree = HNode(z, HLeaf(Hypergraph([], [])), tree)
-    return tree
+    when ``last_empty_edge`` is False. Built as its preorder list, in
+    linear time."""
+    empty = HLeaf(Hypergraph([], []))
+    items = [x for z in range(depth) for x in (z, empty)]
+    items.append(HLeaf(Hypergraph([], [set()] if last_empty_edge else [])))
+    return HNode._view(items, 0, [])
 
 
 def check_equal_and_hash(build, change_last):
@@ -63,7 +65,7 @@ def test_trees_of_different_kinds_or_shapes_differ():
 
 def test_leaves_are_marked_in_the_preorder():
     tree = matching_chain(2)
-    items = marked_preorder(tree, DecompLeaf, lambda t: t.partition)
+    items = marked_preorder(tree)
     assert len(items) == 5
     assert [isinstance(x, DecompLeaf) for x in items] == [False, True, False, True, True]
     assert items[0] == tree.partition and isinstance(tree, DecompNode)
