@@ -40,8 +40,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .bitset import bits, is_connected, mask_of, popcount
-from .cliquewidth import (AddEdges, KExpression, Leaf, Relabel, evaluate,
-                          max_label, postorder)
+from .cliquewidth import (LEAF, REL, UNION, KExpression, evaluate, max_label,
+                          postfix)
 from .decomposition import labeled_h_witness, pattern_witness
 # find_induced is not called here; it stays bound because perfbench's
 # tracer test expects this module among the aliases it rebinds
@@ -124,13 +124,12 @@ def dp_dominating_set(e: KExpression) -> DominationResult:
     dominated). Values are (size, witness), least first under
     ``_before``, so the result is deterministic.
     """
-    order = postorder(e)  # the one walk of e, for all three passes below
-    value = evaluate(e, order=order)  # validates the expression
-    k = max(1, max_label(e, order))
+    value = evaluate(e)  # validates the expression
+    k = max(1, max_label(e))
     full = (1 << k) - 1
     by_rank, nat = _witness_order(value.vertices)
     best = None
-    for key, (n, w) in _dp(order, k, by_rank, nat).items():
+    for key, (n, w) in _dp(postfix(e), k, by_rank, nat).items():
         if not key & full and (best is None or n < best[0]
                                or n == best[0] and _before(w, best[1], nat)):
             best = (n, w)
@@ -186,8 +185,8 @@ def _chain_key(key: int, ops: tuple, k: int) -> int:
     a selected vertex iff either did, is dominated iff both were, and the
     emptied source is dominated. Add-edges marks dominated the classes
     joined to a class with a selected vertex."""
-    for t, a, b in ops:
-        if t is Relabel:
+    for code, a, b in ops:
+        if code == REL:
             moved = key & (1 << (a - 1) | 1 << (a - 1 + k))
             key = key ^ moved | moved >> (a - 1) << (b - 1)
         else:
@@ -212,17 +211,17 @@ def _apply_chain(table: dict, k: int, ops: tuple, nat: list) -> dict:
     return out
 
 
-def _dp(order: list, k: int, by_rank: list, nat: list) -> dict:
-    """The state table of the expression whose ``postorder`` is
-    ``order``: key ``sel << k | undom`` -> (size, witness mask), where
-    ``sel`` holds the label classes with a selected vertex and ``undom``
-    those not yet wholly dominated, and bit r of the mask is
-    ``by_rank[r]``.
+def _dp(ops: list, k: int, by_rank: list, nat: list) -> dict:
+    """The state table of the expression whose postfix op list
+    (``cliquewidth.postfix``) is ``ops``: key ``sel << k | undom`` ->
+    (size, witness mask), where ``sel`` holds the label classes with a
+    selected vertex and ``undom`` those not yet wholly dominated, and bit
+    r of the mask is ``by_rank[r]``.
 
-    Built over ``order`` with one table per pending subtree. A
+    Built in one pass over ``ops`` with one table per pending operand. A
     union ORs the keys of every pair of entries, adds the sizes and ORs
     the masks (the two sides' vertices are disjoint). The maximal chain
-    of relabel/add-edges nodes above a subtree is applied as one key map
+    of relabel/add-edges ops above an operand is applied as one key map
     (``_chain_key``), keeping the least value per key once at its end.
     That is exact: unary ops act on keys only and union on keys, sizes
     and masks entry by entry, so each key's value is the least over the
@@ -232,22 +231,19 @@ def _dp(order: list, k: int, by_rank: list, nat: list) -> dict:
     """
     bit = {v: 1 << r for r, v in enumerate(by_rank)}
     tables = []
-    ops = []        # the unary chain pending above tables[-1], innermost first
-    for x in order:
-        t = type(x)
-        if t is Relabel:
-            ops.append((t, x.src, x.dst))
+    chain = []      # the unary ops pending above tables[-1], innermost first
+    for op in ops:
+        code = op[0]
+        if code != LEAF and code != UNION:
+            chain.append(op)
             continue
-        if t is AddEdges:
-            ops.append((t, x.i, x.j))
-            continue
-        if ops:
-            tables.append(_apply_chain(tables.pop(), k, tuple(ops), nat))
-            ops.clear()
-        if t is Leaf:
-            b = 1 << (x.label - 1)
+        if chain:
+            tables.append(_apply_chain(tables.pop(), k, tuple(chain), nat))
+            chain.clear()
+        if code == LEAF:
+            b = 1 << (op[1] - 1)
             # selected: its class is dominated; skipped: it is not
-            tables.append({b << k: (1, bit[x.vertex]), b: (0, 0)})
+            tables.append({b << k: (1, bit[op[2]]), b: (0, 0)})
             continue
         right = list(tables.pop().items())
         out: dict = {}
@@ -259,8 +255,8 @@ def _dp(order: list, k: int, by_rank: list, nat: list) -> dict:
                 if cur is None or n < cur[0] or n == cur[0] and _before(w1 | w2, cur[1], nat):
                     out[key] = (n, w1 | w2)
         tables.append(out)
-    if ops:
-        tables.append(_apply_chain(tables.pop(), k, tuple(ops), nat))
+    if chain:
+        tables.append(_apply_chain(tables.pop(), k, tuple(chain), nat))
     return tables[0]
 
 

@@ -14,6 +14,7 @@ exact fractions "p/q" (or plain integers), never as decimals.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 
 from .graphs import Graph
 from .hypergraph import Hypergraph
@@ -28,20 +29,22 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _tokenized_lines(text: str):
-    for i, raw in enumerate(text.splitlines(), start=1):
-        toks = (raw.split("#", 1)[0] if "#" in raw else raw).split()
-        if toks:
-            yield i, toks
-
-
-def _header(text: str, item: str) -> tuple[int, list]:
-    """The vertex count and the tokenized lines, header first, after
-    checking the 'n m' header and that m ``item`` lines follow it."""
-    lines = list(_tokenized_lines(text))
-    if not lines:
+def _header(text: str, item: str) -> tuple[int, int, list[str]]:
+    """The vertex count, the header's line number, and the text lines,
+    comments cut off, after checking the 'n m' header and that m
+    ``item`` lines (lines that hold a token) follow it. The lines are
+    counted before any is split; a reader splits each line after the
+    header as it reaches it and skips the blank ones, so no token list
+    outlives its line."""
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [raw.split("#", 1)[0] for raw in lines]
+    for ln, raw in enumerate(lines, start=1):
+        head = raw.split()
+        if head:
+            break
+    else:
         raise ParseError("empty input, expected 'n m' header", 1)
-    ln, head = lines[0]
     if len(head) != 2:
         raise ParseError("header must be 'n m'", ln)
     try:
@@ -50,9 +53,11 @@ def _header(text: str, item: str) -> tuple[int, list]:
         raise ParseError("header values must be integers", ln) from None
     if n < 0 or m < 0:
         raise ParseError("header values must be non-negative", ln)
-    if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} {item} lines, found {len(lines) - 1}", ln)
-    return n, lines
+    # str.strip leaves a line empty iff it holds no token
+    found = len(list(filter(str.strip, islice(lines, ln, None))))
+    if found != m:
+        raise ParseError(f"expected {m} {item} lines, found {found}", ln)
+    return n, ln, lines
 
 
 def read_hypergraph(text: str) -> Hypergraph:
@@ -62,11 +67,14 @@ def read_hypergraph(text: str) -> Hypergraph:
     vertex count. A line with any other token or size is read with
     ``int()`` by ``_checked_vertices``, so other spellings and every error
     read as the plain integer parse gives them."""
-    n, lines = _header(text, "hyperedge")
+    n, head_ln, lines = _header(text, "hyperedge")
     sizes = [str(k) for k in range(n + 1)]
     bit_of = {sizes[v]: 1 << v for v in range(n)}
     masks = []
-    for ln, toks in lines[1:]:
+    for ln, raw in enumerate(islice(lines, head_ln, None), head_ln + 1):
+        toks = raw.split()
+        if not toks:
+            continue
         k = len(toks) - 1
         try:
             if k > n or toks[0] != sizes[k]:
@@ -79,7 +87,7 @@ def read_hypergraph(text: str) -> Hypergraph:
             raise ParseError("repeated vertex inside a hyperedge", ln)
         masks.append(m)
     if len(set(masks)) != len(masks):
-        raise ParseError("duplicate hyperedges", lines[0][0])
+        raise ParseError("duplicate hyperedges", head_ln)
     return Hypergraph.from_masks(range(n), masks)
 
 
@@ -112,10 +120,15 @@ def write_hypergraph(h: Hypergraph) -> str:
 
 
 def read_graph(text: str) -> Graph:
-    n, lines = _header(text, "edge")
+    """Each edge line is split when the loop reaches it and checked at
+    once; the adjacency masks are all that is kept."""
+    n, head_ln, lines = _header(text, "edge")
     adj = [0] * n
-    for ln, toks in lines[1:]:
+    for ln, raw in enumerate(islice(lines, head_ln, None), head_ln + 1):
+        toks = raw.split()
         if len(toks) != 2:
+            if not toks:
+                continue
             raise ParseError("edge line must be 'u v'", ln)
         try:
             u, v = int(toks[0]), int(toks[1])

@@ -39,7 +39,11 @@ became views of their preorder, and the reader there is the library's
 before it summed each line's bits in one ``map``. ``preorder`` is the
 (subtree, depth) walk over node objects that the library used before
 both tree kinds became views of their preorder lists, and the M[a,b]
-tree printer there reads it, as the library's did.
+tree printer there reads it, as the library's did. ``postorder`` is the
+node walk every k-expression reader of the library made before
+expressions became views of their postfix op list. The graph reader
+there keeps every line's token list before it checks an edge, as the
+library's did before it counted the lines first.
 """
 
 from __future__ import annotations
@@ -50,8 +54,7 @@ import re
 
 from sperner.bitset import bits, popcount
 from sperner.cliquewidth import (AddEdges, ExpressionError, ExpressionParseError,
-                                 KExpression, Leaf, Relabel, Union_, VertexId,
-                                 postorder)
+                                 KExpression, Leaf, Relabel, Union_, VertexId)
 from sperner.decomposition import (DecompLeaf, DecompNode, DecompositionError,
                                    GraphDecompositionTree, MPartition, m_matrix)
 from sperner.hypergraph import (HLeaf, HNode, Hypergraph, fold_preorder, glue,
@@ -375,10 +378,13 @@ def read_hypergraph_by_positions(text: str) -> Hypergraph:
     """Hypergraph text read with a table from the canonical spellings
     "0" .. "n-1" to vertex positions, shifted to bits afterwards; other
     spellings go through the library's integer fallback."""
-    n, lines = _header(text, "hyperedge")
+    n, head_ln, lines = _header(text, "hyperedge")
     pos = {str(v): v for v in range(n)}
     masks = []
-    for ln, toks in lines[1:]:
+    for ln, raw in enumerate(lines[head_ln:], head_ln + 1):
+        toks = raw.split()
+        if not toks:
+            continue
         vs = list(map(pos.get, toks[1:]))
         if None in vs or toks[0] != str(len(vs)):
             vs = _checked_vertices(toks, n, ln)
@@ -387,7 +393,7 @@ def read_hypergraph_by_positions(text: str) -> Hypergraph:
             raise ParseError("repeated vertex inside a hyperedge", ln)
         masks.append(m)
     if len(set(masks)) != len(masks):
-        raise ParseError("duplicate hyperedges", lines[0][0])
+        raise ParseError("duplicate hyperedges", head_ln)
     return Hypergraph.from_masks(range(n), masks)
 
 
@@ -582,6 +588,24 @@ def _check_distinct_vertices(e: KExpression):
 # by ``str``), one table rebuilt per node and the least value per key
 # kept by tuple comparison. tests/test_dp_oracle.py compares the two
 # tables entry by entry, witness order included.
+
+def postorder(e: KExpression) -> list:
+    """The nodes of ``e``, children before their parent and left before
+    right, read through ``left``/``right``/``sub`` on an explicit stack:
+    the walk every expression reader of the library made before they
+    read the postfix op list."""
+    order = []
+    stack = [e]
+    while stack:
+        x = stack.pop()
+        order.append(x)
+        if isinstance(x, Union_):
+            stack += (x.left, x.right)
+        elif not isinstance(x, Leaf):
+            stack.append(x.sub)
+    order.reverse()
+    return order
+
 
 def _merge(table: dict, key: tuple, size: int, wit: tuple):
     cur = table.get(key)
@@ -861,11 +885,12 @@ def tokenized_lines_stripped(text: str):
             yield i, body.split()
 
 
-def read_hypergraph_by_bit_lists(text: str) -> Hypergraph:
-    """Hypergraph text read with one table from the canonical spellings
-    to vertex bits, building each line's list of bits; other spellings
-    go through the library's integer fallback. The header is checked as
-    the library's ``_header`` does, over ``tokenized_lines_stripped``."""
+def header_by_token_lists(text: str, item: str) -> tuple[int, list]:
+    """The vertex count and the (line number, tokens) of every line with
+    a token, header first, after checking the 'n m' header and that m
+    ``item`` lines follow it: the header check of the library's readers
+    before they counted the lines first and split each one as they read
+    it."""
     lines = list(tokenized_lines_stripped(text))
     if not lines:
         raise ParseError("empty input, expected 'n m' header", 1)
@@ -879,7 +904,39 @@ def read_hypergraph_by_bit_lists(text: str) -> Hypergraph:
     if n < 0 or m < 0:
         raise ParseError("header values must be non-negative", ln)
     if len(lines) - 1 != m:
-        raise ParseError(f"expected {m} hyperedge lines, found {len(lines) - 1}", ln)
+        raise ParseError(f"expected {m} {item} lines, found {len(lines) - 1}", ln)
+    return n, lines
+
+
+def read_graph_by_token_lists(text: str) -> Graph:
+    """Graph text read as the library read it before: every line's token
+    list kept (``header_by_token_lists``), then each edge checked."""
+    n, lines = header_by_token_lists(text, "edge")
+    adj = [0] * n
+    for ln, toks in lines[1:]:
+        if len(toks) != 2:
+            raise ParseError("edge line must be 'u v'", ln)
+        try:
+            u, v = int(toks[0]), int(toks[1])
+        except ValueError:
+            raise ParseError("edge endpoints must be integers", ln) from None
+        if u == v:
+            raise ParseError(f"loop at vertex {u}", ln)
+        if not (0 <= u < v < n):
+            raise ParseError(f"edge ({u},{v}) must satisfy 0 <= u < v < n", ln)
+        if adj[u] >> v & 1:
+            raise ParseError(f"duplicate edge ({u},{v})", ln)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return Graph.from_adj(adj)
+
+
+def read_hypergraph_by_bit_lists(text: str) -> Hypergraph:
+    """Hypergraph text read with one table from the canonical spellings
+    to vertex bits, building each line's list of bits; other spellings
+    go through the library's integer fallback. The header is checked by
+    ``header_by_token_lists``."""
+    n, lines = header_by_token_lists(text, "hyperedge")
     bit_of = {str(v): 1 << v for v in range(n)}
     masks = []
     for ln, toks in lines[1:]:

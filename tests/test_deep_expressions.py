@@ -2,8 +2,10 @@
 the printer, the evaluator and the domination DP, and a deep in-class
 split graph through the whole domination pipeline and ``dominate``.
 
-Expressions are compared as text: the dataclasses' generated ``__eq__``
-and ``__hash__`` still recurse."""
+The deep expressions are built as postfix op lists, in linear time: the
+node constructors copy their operands' ops, so building them node by node
+would cost O(depth^2). At small depths they equal the constructor-built
+copies."""
 
 import json
 import random
@@ -13,7 +15,8 @@ import pytest
 
 import sperner.cli as cli
 from oracles import gluing_chain_by_pair_check
-from sperner.cliquewidth import (AddEdges, Leaf, Relabel, Union_, evaluate,
+from sperner.cliquewidth import (ADDE, LEAF, REL, UNION, AddEdges, Leaf,
+                                 Relabel, Union_, _view, evaluate,
                                  expression_length, format_expression,
                                  max_label, parse_expression)
 from sperner.domination import (dp_dominating_set, is_dominating,
@@ -26,22 +29,52 @@ CHAIN_DEPTH = 5000
 COMB_LEAVES = 3000
 
 
-def rel_adde_chain():
-    """An edge 0-1 under CHAIN_DEPTH alternating add-edges and relabel
+def chain_ops(depth: int):
+    """The op of each of the ``depth - 1`` alternating relabel and
+    add-edges nodes above the union of ``rel_adde_chain``, innermost
+    first."""
+    return [(ADDE, 1, 2) if d % 2 else (REL, *((1, 3), (3, 1))[d // 2 % 2])
+            for d in range(depth - 1)]
+
+
+def rel_adde_chain(depth: int = CHAIN_DEPTH):
+    """An edge 0-1 under ``depth`` alternating add-edges and relabel
     nodes: (adde 1 2 (rel 3 1 (adde 1 2 (rel 1 3 ... (union ...)))))."""
+    return _view([(LEAF, 1, 0), (LEAF, 2, 1), (UNION,), *chain_ops(depth)])
+
+
+def union_comb(leaves: int = COMB_LEAVES):
+    """A star on ``leaves`` vertices: one add-edges over a left comb of
+    unions, centre 0 labeled 1, every other leaf labeled 2."""
+    ops = [(LEAF, 1, 0)]
+    for v in range(1, leaves):
+        ops += ((LEAF, 2, v), (UNION,))
+    ops.append((ADDE, 1, 2))
+    return _view(ops)
+
+
+def rel_adde_chain_by_constructor(depth: int):
     e = Union_(Leaf(1, 0), Leaf(2, 1))
-    for d in range(CHAIN_DEPTH - 1):
-        e = AddEdges(1, 2, e) if d % 2 else Relabel(*((1, 3), (3, 1))[d // 2 % 2], e)
+    for code, a, b in chain_ops(depth):
+        e = AddEdges(a, b, e) if code == ADDE else Relabel(a, b, e)
     return e
 
 
-def union_comb():
-    """A star on COMB_LEAVES vertices: one add-edges over a left comb of
-    unions, centre 0 labeled 1, every other leaf labeled 2."""
+def union_comb_by_constructor(leaves: int):
     e = Leaf(1, 0)
-    for v in range(1, COMB_LEAVES):
+    for v in range(1, leaves):
         e = Union_(e, Leaf(2, v))
     return AddEdges(1, 2, e)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 50])
+def test_list_built_expressions_equal_the_constructor_built_ones(size):
+    for by_list, by_constructor in ((rel_adde_chain, rel_adde_chain_by_constructor),
+                                    (union_comb, union_comb_by_constructor)):
+        e, want = by_list(size), by_constructor(size)
+        assert e == want and hash(e) == hash(want)
+        assert format_expression(e) == format_expression(want)
+        assert repr(e) == repr(want)
 
 
 @pytest.mark.parametrize("make, depth, edges, witness", [

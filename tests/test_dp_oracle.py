@@ -16,7 +16,7 @@ import sperner.domination as domination
 from sperner.bitset import bits, mask_of, popcount
 from sperner.cliquewidth import (AddEdges, Leaf, Relabel, Union_,
                                  build_split_h_free, evaluate, max_label,
-                                 postorder)
+                                 postfix)
 from sperner.domination import OutOfClassError, dp_dominating_set
 from sperner.generators import random_one_sperner, split_graph_structures
 from sperner.graphs import (LabeledSplitGraph, edge_clique_split_of,
@@ -31,7 +31,7 @@ def dp_table(e):
     full = (1 << k) - 1
     by_rank, nat = domination._witness_order(evaluate(e).vertices)
     return {(key >> k, full ^ key & full): (n, tuple(by_rank[r] for r in bits(w)))
-            for key, (n, w) in domination._dp(postorder(e), k, by_rank, nat).items()}
+            for key, (n, w) in domination._dp(postfix(e), k, by_rank, nat).items()}
 
 
 def assert_tables_match(exprs):

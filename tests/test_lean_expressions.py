@@ -18,9 +18,9 @@ import sys
 
 import oracles
 from sperner.bitset import bits
-from sperner.cliquewidth import (AddEdges, ExpressionError, Leaf, Relabel, Union_,
-                                 build_from_tree, evaluate, expression_length,
-                                 format_expression, postorder)
+from sperner.cliquewidth import (ADDE, LEAF, REL, UNION, ExpressionError, Leaf,
+                                 Union_, _view, build_from_tree, evaluate,
+                                 expression_length, format_expression, postfix)
 from sperner.decomposition import (DecompLeaf, DecompNode, MPartition,
                                    bigraph_two_p3_witness)
 from sperner.generators import bigraph_structures
@@ -54,28 +54,26 @@ def test_pair_test_matches_pattern_search_on_every_bipartition():
 
 def strip_dead(e):
     """``e`` without its relabels of an absent label and add-edges on an
-    absent label, and how many there were; label sets are tracked per
-    subtree from the leaves up."""
-    done = []
+    absent label, and how many there were. One pass over the postfix op
+    list tracks the label set of each pending operand and leaves the dead
+    ops out of the copy; the rest stay in order."""
+    kept = []
+    labels = []
     dead = 0
-    for x in postorder(e):
-        t = type(x)
-        if t is Leaf:
-            done.append((x, {x.label}))
-        elif t is Union_:
-            right, rl = done.pop()
-            left, ll = done.pop()
-            done.append((Union_(left, right), ll | rl))
-        else:
-            sub, labels = done.pop()
-            if t is Relabel and x.src in labels:
-                done.append((Relabel(x.src, x.dst, sub), labels - {x.src} | {x.dst}))
-            elif t is AddEdges and {x.i, x.j} <= labels:
-                done.append((AddEdges(x.i, x.j, sub), labels))
-            else:
-                dead += 1
-                done.append((sub, labels))
-    return done[0][0], dead
+    for op in postfix(e):
+        code = op[0]
+        if code == LEAF:
+            labels.append({op[1]})
+        elif code == UNION:
+            right = labels.pop()
+            labels[-1] = labels[-1] | right
+        elif code == REL and op[1] in labels[-1]:
+            labels[-1] = labels[-1] - {op[1]} | {op[2]}
+        elif not (code == ADDE and {op[1], op[2]} <= labels[-1]):
+            dead += 1
+            continue
+        kept.append(op)
+    return _view(kept), dead
 
 
 def class_instances():
@@ -96,6 +94,7 @@ def test_pruned_builder_is_unpruned_builder_without_dead_operators():
         full = oracles.build_from_tree_unpruned(tree)
         stripped, dead = strip_dead(full)
         assert strip_dead(lean)[1] == 0, (name, g)
+        assert lean == stripped, (name, g)
         assert format_expression(lean) == format_expression(stripped), (name, g)
         assert expression_length(lean) == expression_length(full) - 3 * dead
         lean_value, full_value = evaluate(lean, k=5), evaluate(full, k=5)
