@@ -7,6 +7,7 @@ deterministic.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -25,16 +26,30 @@ def mask_of(positions: Iterable[int]) -> int:
     return m
 
 
+# maps the digits of bin() to the bytes 0 and 1
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def mask_sum(values: Sequence[int], mask: int) -> int:
+    """The sum of values[i] over the set bits i of ``mask`` (below
+    len(values)). The reversed binary digits, as 0/1 bytes, select the
+    values, so the loop runs in C; ``bits`` does O(n / word) big-integer
+    work at every set bit of an n-bit mask."""
+    return sum(compress(values, bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)))
+
+
 def popcount(mask: int) -> int:
     return mask.bit_count()
 
 
 def minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
     """Inclusion-minimal members of a family of masks (deduplicated, sorted)."""
-    pool = sorted(set(masks), key=lambda m: (popcount(m), m))
     keep: list[int] = []
-    for m in pool:
-        if not any(k & m == k for k in keep):
+    for m in sorted(set(masks), key=lambda m: (m.bit_count(), m)):
+        for k in keep:
+            if k & m == k:
+                break
+        else:
             keep.append(m)
     return tuple(sorted(keep))
 
@@ -55,8 +70,12 @@ def iter_maximal_cliques(adj: list[int], n: int) -> Iterator[int]:
     Bron-Kerbosch with pivoting, on an explicit stack of (R, P, X)
     frames, so clique size is limited by memory, not by the recursion
     limit. A frame's children depend only on the frame, so each is built
-    when its parent is expanded. For ``n == 0`` the single maximal clique
-    is the empty set.
+    when its parent is expanded. The pivot is the first vertex u of P | X,
+    in bit order, with the largest |P & N(u)|, found by one loop of
+    ``int.bit_count`` calls. The loop stops early at the largest value
+    possible, |P| - 1 when X is empty (u is not its own neighbour) and |P|
+    otherwise, which no later vertex can exceed. For ``n == 0`` the single
+    maximal clique is the empty set.
     """
     stack = [(0, (1 << n) - 1, 0)]
     while stack:
@@ -65,14 +84,27 @@ def iter_maximal_cliques(adj: list[int], n: int) -> Iterator[int]:
             if not x:
                 yield r
             continue
-        # pivot: vertex of p|x maximizing |p & adj[u]|
-        pivot = max(bits(p | x), key=lambda u: popcount(p & adj[u]))
+        best = -1
+        most = p.bit_count() - (not x)
+        rest = p | x
+        while rest:
+            b = rest & -rest
+            u = b.bit_length() - 1
+            k = (p & adj[u]).bit_count()
+            if k > best:
+                best, pivot = k, u
+                if k == most:
+                    break
+            rest ^= b
         children = []
-        for v in bits(p & ~adj[pivot]):
-            b = 1 << v
-            children.append((r | b, p & adj[v], x & adj[v]))
+        rest = p & ~adj[pivot]
+        while rest:
+            b = rest & -rest
+            a = adj[b.bit_length() - 1]
+            children.append((r | b, p & a, x & a))
             p ^= b
             x |= b
+            rest ^= b
         stack.extend(reversed(children))
 
 

@@ -18,6 +18,7 @@ import random
 import sys
 
 from . import textio
+from .bitset import minimal_masks
 from .cliquewidth import (ExpressionError, built, evaluate, format_expression,
                           parse_expression)
 from .decomposition import GRAPH_CLASSES, DecompositionError, tree_to_text
@@ -29,11 +30,12 @@ from .generators import (random_bigraph_2p3_free, random_one_sperner,
 # tracer test expects this module among the aliases it rebinds
 from .graphs import Graph, GraphError, find_induced  # noqa: F401
 from .hypergraph import (HLeaf, Hypergraph, HypergraphError, decompose,
-                         is_conformal, is_dually_sperner, is_one_sperner,
-                         is_sperner, preorder_depths, recompose)
+                         gluing_preorder, is_conformal, is_conformal_on_tree,
+                         is_dually_sperner, is_one_sperner, preorder_depths,
+                         recompose)
 from .sweeps import SUITES
 from .threshold import (ThresholdError, ThresholdWitness, k_asummability_witness,
-                        threshold_certificate)
+                        threshold_certificate_from)
 
 
 def _load(path: str) -> str:
@@ -52,24 +54,41 @@ def _emit(args, records: list[dict], text_lines: list[str]):
 
 def cmd_hyp_check(args) -> int:
     h = textio.read_hypergraph(_load(args.path))
+    # Where each printed line comes from. One gluing scan runs first.
+    # * It succeeds: h is 1-Sperner by the gluing lemma, hence Sperner and
+    #   dually Sperner, so the three Sperner lines are true with no pair
+    #   scan; conformal is folded over the tree (is_conformal_on_tree), and
+    #   the threshold step folds its (w, t) over the same tree.
+    # * It fails: the minimal hyperedges are computed once. The distinct
+    #   hyperedges are Sperner iff all of them are minimal; dually-sperner
+    #   is the pair scan, conformal the clique search, and the minimal
+    #   hyperedges feed the regularity pre-test and the LP.
     # The threshold step's verified certificate decides 2-asummability too.
     # A separating (w, t) proves k-asummability for every k: k independent
     # and k dependent sets with equal characteristic sums would have equal
     # total weight, below k*t and at least k*t. An irregular input's
     # incomparable pair is itself a 2-summability witness. So only regular
     # non-threshold inputs are searched (and meet the search's vertex cap).
-    cert = threshold_certificate(h)
+    order = gluing_preorder(h)
+    if order is not None:
+        minimal = None
+        sperner = dually = True
+        conformal = is_conformal_on_tree(order)
+    else:
+        minimal = minimal_masks(h.edge_masks)
+        sperner, dually = minimal == h.edge_masks, is_dually_sperner(h)
+        conformal = is_conformal(h)
+    cert = threshold_certificate_from(h, order, minimal)
     if isinstance(cert, ThresholdWitness):
         tw, aw = cert, None
     else:
         tw, aw = None, cert if cert is not None else k_asummability_witness(h, 2)
-    sperner, dually = is_sperner(h), is_dually_sperner(h)
     preds = [
         ("sperner", sperner, None),
         ("dually-sperner", dually, None),
         # 1-Sperner: min difference >= 1 (Sperner) and <= 1 (dually Sperner)
         ("1-sperner", sperner and dually, None),
-        ("conformal", is_conformal(h), None),
+        ("conformal", conformal, None),
         ("threshold", tw is not None,
          None if tw is None else textio.threshold_witness_to_text(h, tw).strip()),
         ("2-asummable", aw is None,

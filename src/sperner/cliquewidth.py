@@ -404,12 +404,18 @@ def format_expression(e: KExpression) -> str:
 
 def _fmt_vertex(v: VertexId) -> str:
     """``v<digits>`` for ids 0 and up; negative ids bare, as ``_vertex_id``
-    reads them back. A string id prints as itself, and must read back as
-    that string: one token (not empty, no whitespace or parenthesis) that
-    is not a decimal literal."""
+    reads them back. An int id with more digits than ``str`` prints
+    (Python's limit on int-string conversion) raises ExpressionError. A
+    string id prints as itself, and must read back as that string: one
+    token (not empty, no whitespace or parenthesis) that is not a decimal
+    literal."""
     if isinstance(v, int):
-        return f"v{v}" if v >= 0 else str(v)
-    if v.split() != [v] or "(" in v or ")" in v or _vertex_id(v) != v:
+        try:
+            return f"v{v}" if v >= 0 else str(v)
+        except ValueError:
+            raise ExpressionError(f"vertex id of {v.bit_length()} bits has more digits "
+                                  f"than an int prints") from None
+    if v.split() != [v] or "(" in v or ")" in v or _is_int_literal(v):
         raise ExpressionError(f"vertex id {v!r} does not print as a token that reads back")
     return v
 
@@ -441,13 +447,26 @@ def _parse_error(text: str, index: int, message: str) -> ExpressionParseError:
                                 off - text.rfind("\n", 0, off))
 
 
-def _vertex_id(s: str) -> VertexId:
-    """An ASCII decimal literal, bare, negative or after ``v``, is an
-    integer id; any other token (``v²`` among them) is a string id."""
+def _is_int_literal(s: str) -> bool:
+    """Whether the token s is an ASCII decimal literal, bare, negative or
+    after ``v``."""
     digits = s[1:] if s[0] in "-v" else s
-    if not (digits.isascii() and digits.isdigit()):
+    return digits.isascii() and digits.isdigit()
+
+
+def _vertex_id(text: str, toks: list, pos: int) -> VertexId:
+    """The vertex id of ``toks[pos]``: an integer for a decimal literal
+    (``_is_int_literal``), the token itself for any other (``v²`` among
+    them). A literal with more digits than ``int`` reads (Python's limit
+    on int-string conversion) raises ExpressionParseError at the token."""
+    s = toks[pos]
+    if not _is_int_literal(s):
         return s
-    return int(digits) if s[0] == "v" else int(s)
+    try:
+        return int(s[1:]) if s[0] == "v" else int(s)
+    except ValueError:
+        raise _parse_error(text, pos, f"vertex id of {len(s)} characters has more "
+                                      f"digits than an int reads") from None
 
 
 def parse_expression(text: str) -> KExpression:
@@ -502,7 +521,7 @@ def parse_expression(text: str) -> KExpression:
             t = toks[pos]
             if t == "(" or t == ")":
                 raise _parse_error(text, pos, "expected a vertex identifier")
-            v = _vertex_id(t)
+            v = _vertex_id(text, toks, pos)
             vertices.append(v)
             frame = (head, (LEAF, a, v), None if a >= 1 else _POSITIVE)
             pos += 1

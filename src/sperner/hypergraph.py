@@ -644,14 +644,18 @@ def maximal_independent_masks(h: Hypergraph) -> tuple[int, ...]:
 def co_occurrence_adjacency(h: Hypergraph) -> list[int]:
     """Adjacency masks (by vertex position) of the co-occurrence graph.
 
-    Two vertices are adjacent iff some hyperedge contains both.
+    Two vertices are adjacent iff some hyperedge contains both. Each
+    hyperedge is ORed into the rows of its vertices, and the diagonal
+    bits are cleared at the end.
     """
     adj = [0] * h.n
     for m in h.edge_masks:
-        vs = list(bits(m))
-        for i in vs:
-            adj[i] |= m & ~(1 << i)
-    return adj
+        rest = m
+        while rest:
+            b = rest & -rest
+            adj[b.bit_length() - 1] |= m
+            rest ^= b
+    return [a & ~(1 << i) for i, a in enumerate(adj)]
 
 
 def is_conformal(h: Hypergraph) -> bool:
@@ -666,3 +670,44 @@ def is_conformal(h: Hypergraph) -> bool:
     """
     cliques = iter_maximal_cliques(co_occurrence_adjacency(h), h.n)
     return all(any(m & c == c for m in h.edge_masks) for c in cliques)
+
+
+def is_conformal_on_tree(order: list) -> bool:
+    """``is_conformal`` for a 1-Sperner hypergraph, folded over its gluing
+    tree ``order`` (a ``gluing_preorder``) in O(n) steps, with no clique
+    search.
+
+    Per subtree H the fold keeps conf (every clique of the co-occurrence
+    graph lies in a hyperedge), nonempty (H has a vertex), has (H has a
+    hyperedge) and full (V(H) is a hyperedge). A leaf has no vertex, so
+    its one clique is the empty set: conf = has = full = (E = {{}}), and
+    nonempty is false. For H = glue(H1, H2, z), ``gluing_preorder``
+    splits off V1 = U_z, the union of E1, so z co-occurs exactly with
+    V1; a pair inside V2 co-occurs in H iff it does in H2. Hyperedges of
+    H are {z} + e (e in E1) and V1 + f (f in E2).
+
+    * H2 has a hyperedge. Then V1 lies in a hyperedge, so {z} + V1 is the
+      largest clique through z, and it lies in a hyperedge iff V1 is in
+      E1 (full1). A clique K without z is K1 + K2 with K1 inside V1 and
+      K2 a clique of H2; when conf2, K2 lies in some f, and K in V1 + f.
+      Conversely a clique C2 of H2 is one of H, and a hyperedge of H that
+      holds it gives one of H2 (V1 + f gives f; {z} + e only holds the
+      empty C2, which f holds too). So conf = full1 and conf2.
+    * H2 has no hyperedge. A vertex of V2 lies in no hyperedge of H, an
+      uncovered clique. With V2 empty, the cliques are C1 and {z} + C1
+      for the cliques C1 of H1, and {z} + e holds them iff e holds C1.
+      So conf = conf1 and not nonempty2.
+
+    V is a hyperedge iff {z} + e = V for an e in E1, that is full =
+    full1 and not nonempty2; has = has1 or has2.
+    """
+    def leaf(x: HLeaf):             # (conf, nonempty, has, full)
+        e = bool(x.base.edge_masks)
+        return e, False, e, e
+
+    def node(z: int, left, right):
+        (conf1, _, has1, full1), (conf2, nonempty2, has2, _) = left, right
+        conf = conf2 and full1 if has2 else conf1 and not nonempty2
+        return conf, True, has1 or has2, full1 and not nonempty2
+
+    return fold_preorder(order, leaf, node)[0]

@@ -22,13 +22,22 @@ and the heaviest independent set, which for a 1-Sperner input is folded
 along the gluing tree without dualization (see ``ThresholdWitness.verify``),
 and additionally against all 2^n subsets for n <= 20.
 
+The all-subsets check is word-parallel (``_separates_all_subsets``). The
+2^n subset sums are lanes of one integer, c bytes per subset, with c the
+least byte count whose lane holds 2^(8c - 1) > max(w(V), t). A sum is at
+most w(V), so building the sums by n shift-add steps never carries out of
+a lane; adding 2^(8c - 1) - t to every lane keeps each in (0, 2^(8c)), so
+again nothing carries, and a lane's top bit is then set iff its sum is at
+least t. Those bits are compared with the dependence table laid out in
+the same lanes.
+
 The 2-asummability test walks sum-vector profiles instead of pairs of
 sets: a violating quadruple exists iff there are disjoint masks (I, d)
 such that some split of d extends I to two dependent sets and some other
 split extends it to two independent sets. That is O(4^n) with tiny
 constants and yields a witness directly. It reads a 2^n dependence table,
-built word-parallel (see ``dependence_table``), as does the exhaustive
-check of ``ThresholdWitness.verify``.
+built word-parallel (see ``dependence_table``), as does, in its lanes,
+the all-subsets check.
 
 ``sperner hyp-check`` reads 2-asummability off the threshold step's
 certificate instead (the proof is at ``cli.cmd_hyp_check``): a separating
@@ -46,8 +55,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Optional, Union
 
-from .bitset import bits
-from .bitset import minimal_masks
+from .bitset import bits, mask_sum, minimal_masks
 from .hypergraph import (HLeaf, Hypergraph, fold_preorder, gluing_preorder,
                          maximal_independent_masks)
 from .lp import solve_nonnegative_feasibility
@@ -69,16 +77,27 @@ def dependence_table(h: Hypergraph) -> bytearray:
     bytes, into the sets that contain vertex b. Bytes stay 0/1, so no step
     carries into a neighbour.
     """
+    return _dependence_lanes(h, 1)
+
+
+def _dependence_lanes(h: Hypergraph, c: int) -> bytearray:
+    """``dependence_table`` laid out in lanes of c bytes: byte c * mask is
+    dep[mask] and the other bytes are 0. The byte table is built as
+    ``dependence_table`` describes and spread to the lanes by one slice
+    assignment."""
     n = h.n
     size = 1 << n
-    table = 0
+    seed = bytearray(size)
     for e in h.edge_masks:
-        table |= 1 << (8 * e)
+        seed[e] = 1
+    table = int.from_bytes(seed, "little")
     for b in range(n):
         block = 1 << b
         has_b = int.from_bytes((bytes(block) + b"\x01" * block) * (size >> (b + 1)), "little")
         table |= (table << (8 * block)) & has_b
-    return bytearray(table.to_bytes(size, "little"))
+    lanes = bytearray(size * c)
+    lanes[::c] = table.to_bytes(size, "little")
+    return lanes
 
 
 def is_independent_set(h: Hypergraph, X: Iterable[int]) -> bool:
@@ -254,19 +273,26 @@ class ThresholdWitness:
     def verify(self, h: Hypergraph, exhaustive_limit: int = 20) -> bool:
         """Exact separation check.
 
+        The weights are first scaled to integers by their common
+        denominator (a positive scale keeps signs and separation).
+
         Family check, complete because non-negative weights are monotone:
         w(e) >= t on every hyperedge, and w(S) < t for the heaviest
         independent set S. For a 1-Sperner input the heaviest independent
         weight is folded along a gluing tree that ``verify`` builds itself
         (``_heaviest_independent_on_tree``), with no dualization; any other
-        input is read over its maximal independent sets. For n <=
-        exhaustive_limit additionally checks all 2^n subsets, from a table
-        of all 2^n subset sums.
+        input is read over its maximal independent sets.
+
+        For n <= exhaustive_limit it additionally checks all 2^n subsets
+        word-parallel (``_separates_all_subsets``): subset X's sum is lane
+        X of one integer, c bytes wide with 2^(8c - 1) above both W = w(V)
+        and t, so a sum, and a sum plus 2^(8c - 1) - t, never carries into
+        the next lane; the top bit of each lane then reads w(X) >= t.
         """
-        if any(w < 0 for w in self.weights) or self.threshold < 0:
-            return False
         wint, tint = _integer_scaled(self.weights, self.threshold)
-        if any(sum(wint[i] for i in bits(e)) < tint for e in h.edge_masks):
+        if tint < 0 or any(w < 0 for w in wint):
+            return False
+        if any(mask_sum(wint, e) < tint for e in h.edge_masks):
             return False
         order = gluing_preorder(h)
         if order is None:
@@ -281,7 +307,7 @@ class ThresholdWitness:
 def _heaviest_independent_by_duals(h: Hypergraph, wint: list[int]) -> Optional[int]:
     """The largest w(S) over the maximal independent sets S of h, or None
     when every set is dependent (h has the empty hyperedge)."""
-    return max((sum(wint[i] for i in bits(s)) for s in maximal_independent_masks(h)),
+    return max((mask_sum(wint, s) for s in maximal_independent_masks(h)),
                default=None)
 
 
@@ -330,21 +356,51 @@ def _heaviest_independent_on_tree(h: Hypergraph, order: list, wint: list[int]) -
 
 
 def _separates_all_subsets(h: Hypergraph, wint: list[int], tint: int) -> bool:
-    """w(X) >= t exactly on the dependent X, over all 2^n subsets.
+    """w(X) >= t exactly on the dependent X, over all 2^n subsets, for
+    non-negative integers w and t, with the 2^n subset sums as lanes of
+    one integer.
 
-    The subset sums are built by doubling, so that sums[mask] = w(mask),
-    and compared with ``dependence_table`` as one byte string.
+    Lane layout: subset X (a position mask) owns lane X, bits L X to
+    L X + L - 1 of the integer S, where L = 8c and c is the least byte
+    count with 8c > bit_length(max(W, t)), W = w(V). So W < 2^(L-1) and
+    t < 2^(L-1).
+
+    * Sums. S starts as one lane holding 0. After step k it holds the
+      2^(k+1) sums over positions 0..k: S |= (S + w_k ONES) << 2^k L,
+      where ONES has a 1 in each of the 2^k lanes. The new upper lanes
+      are the old ones plus w_k, and every lane stays at most W, below
+      2^(L-1), so no addition carries into the next lane.
+    * Flags. Adding 2^(L-1) - t to every lane gives w(X) - t + 2^(L-1),
+      which lies in (0, 2^L) because 0 <= w(X), t < 2^(L-1): again no
+      carry, and the lane's top bit is set iff w(X) >= t. Shifting right
+      by L - 1 and masking with ONES leaves that bit at each lane's bottom.
+    * The flags must equal the dependence table in the same lanes
+      (``_dependence_lanes``).
+
+    Lane constants (a value repeated in every lane) are built from bytes;
+    no big-integer multiplication or division runs.
     """
-    sums = [0]
-    for w in wint:
-        sums += [x + w for x in sums]
-    return bytes(map(tint.__le__, sums)) == dependence_table(h)
+    c = max(sum(wint), tint).bit_length() // 8 + 1
+    top = 8 * c - 1
+
+    def repeated(value: int, lanes: int) -> int:
+        return int.from_bytes(value.to_bytes(c, "little") * lanes, "little")
+
+    sums = 0
+    for k, w in enumerate(wint):
+        sums |= (sums + repeated(w, 1 << k)) << (8 * c << k)
+    size = 1 << h.n
+    flags = ((sums + repeated((1 << top) - tint, size)) >> top) & repeated(1, size)
+    return flags == int.from_bytes(_dependence_lanes(h, c), "little")
 
 
 def _integer_scaled(weights: tuple[Fraction, ...], t: Fraction) -> tuple[list[int], int]:
-    """Scale (w, t) by the common denominator; separation is scale-invariant."""
-    scale = lcm(t.denominator, *(w.denominator for w in weights)) if weights else t.denominator
-    return [int(w * scale) for w in weights], int(t * scale)
+    """Scale (w, t) by the common denominator; separation is scale-invariant.
+    Each value is its numerator times scale // denominator, so with every
+    denominator 1 (the gluing fold's integers) these are the numerators."""
+    scale = lcm(t.denominator, *(w.denominator for w in weights))
+    return ([w.numerator * (scale // w.denominator) for w in weights],
+            t.numerator * (scale // t.denominator))
 
 
 def threshold_certificate(h: Hypergraph) -> Union[ThresholdWitness, AsummabilityWitness, None]:
@@ -371,16 +427,31 @@ def threshold_certificate(h: Hypergraph) -> Union[ThresholdWitness, Asummability
     threshold (w, t) would weigh those sums at least 2t and below 2t.
     ``_incomparable_pair`` looks for such a pair in polynomial time and
     returns that witness; only regular inputs reach the LP.
+
+    The step starts from two scans of h, its gluing preorder and, when h
+    is not 1-Sperner, its minimal hyperedges; ``threshold_certificate_from``
+    takes them from a caller that has made them already.
     """
+    order = gluing_preorder(h)
+    return threshold_certificate_from(
+        h, order, minimal_masks(h.edge_masks) if order is None else None)
+
+
+def threshold_certificate_from(h: Hypergraph, order: Optional[list],
+                               minimal: Optional[tuple[int, ...]]
+                               ) -> Union[ThresholdWitness, AsummabilityWitness, None]:
+    """``threshold_certificate`` of h, given ``order``, the
+    ``gluing_preorder`` of h (None when h is not 1-Sperner), and, when
+    ``order`` is None, ``minimal``, the ``minimal_masks`` of its
+    hyperedges. The certificate is verified as there; ``verify`` builds
+    its own gluing tree and does not trust ``order``."""
     n = h.n
     if 0 in h.edge_masks:
         return ThresholdWitness(tuple([Fraction(0)] * n), Fraction(0))
     if not h.edge_masks:
         return ThresholdWitness(tuple([Fraction(0)] * n), Fraction(1))
-    witness = _gluing_threshold_witness(h)
-    if witness is not None:
-        return _verified(witness, h)
-    minimal = minimal_masks(h.edge_masks)
+    if order is not None:
+        return _verified(_gluing_threshold_witness(h, order), h)
     pair = _incomparable_pair(h, minimal)
     if pair is not None:
         if not pair.verify(h):
@@ -402,9 +473,11 @@ def _verified(witness: ThresholdWitness, h: Hypergraph) -> ThresholdWitness:
     return witness
 
 
-def _gluing_threshold_witness(h: Hypergraph) -> Optional[ThresholdWitness]:
-    """An integer (w, t) folded over the gluing decomposition, or None when
-    h is not 1-Sperner. Not verified here.
+def _gluing_threshold_witness(h: Hypergraph, order: Optional[list]
+                              ) -> Optional[ThresholdWitness]:
+    """An integer (w, t) folded over the gluing decomposition ``order`` of
+    h (a ``gluing_preorder``), or None when ``order`` is None, that is
+    when h is not 1-Sperner. Not verified here.
 
     Let H = glue(H1, H2, z), with (w1, t1) separating H1 on V1 and
     (w2, t2) separating H2 on V2, all non-negative integers, and W2 =
@@ -434,7 +507,6 @@ def _gluing_threshold_witness(h: Hypergraph) -> Optional[ThresholdWitness]:
     This is exactly the dependence rule of H. Every node rescales its left
     part once, so the fold costs O(n * depth) big-integer operations.
     """
-    order = gluing_preorder(h)
     if order is None:
         return None
     w = [0] * h.n

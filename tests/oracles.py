@@ -30,7 +30,11 @@ gluing chain builder glues every candidate and runs the pairwise
 1-Sperner check on it, as the chain builder of the tests did before it
 tested the gluing lemma. The
 maximal-clique enumeration is the recursive Bron-Kerbosch the library's
-stack-based one replaced. The M[a,b] partition check here takes the
+stack-based one replaced, and ``iter_maximal_cliques_by_max`` the
+stack-based one as it was before it picked its pivot in one bit loop:
+``max`` over a ``popcount`` key. ``separates_all_subsets_by_doubling``
+is the exhaustive threshold check as it was before the subset sums
+became lanes of one integer: a list of 2^n sums built by doubling. The M[a,b] partition check here takes the
 parts as frozensets and tests every constrained pair by ``has_edge``, as
 the library's did before partitions held vertex masks. The gluing-tree
 recomposition and printer at the end walk the tree's nodes and fold the
@@ -122,6 +126,38 @@ def brute_maximal_cliques(adj: list[int], n: int) -> list[int]:
     bk(0, (1 << n) - 1, 0)
     out.sort(key=lambda m: (popcount(m), m))
     return out
+
+
+def iter_maximal_cliques_by_max(adj: list[int], n: int):
+    """Every maximal clique, in the order of the library's stack-based
+    Bron-Kerbosch: the pivot is ``max`` over the bits of P | X of
+    |P & N(u)|, the first maximal one."""
+    stack = [(0, (1 << n) - 1, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        if not p:
+            if not x:
+                yield r
+            continue
+        pivot = max(bits(p | x), key=lambda u: popcount(p & adj[u]))
+        children = []
+        for v in bits(p & ~adj[pivot]):
+            b = 1 << v
+            children.append((r | b, p & adj[v], x & adj[v]))
+            p ^= b
+            x |= b
+        stack.extend(reversed(children))
+
+
+def separates_all_subsets_by_doubling(h: Hypergraph, wint, tint) -> bool:
+    """w(X) >= t exactly on the dependent X: a list of the 2^n subset sums
+    built by doubling, so that sums[mask] = w(mask), compared with a
+    dependence table scanned set by set."""
+    sums = [0]
+    for w in wint:
+        sums += [x + w for x in sums]
+    dep = bytes(any(e & x == e for e in h.edge_masks) for x in range(1 << h.n))
+    return bytes(map(tint.__le__, sums)) == dep
 
 
 def dependent_masks(h: Hypergraph):

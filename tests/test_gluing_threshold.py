@@ -8,7 +8,7 @@ import random
 from sperner import threshold
 from sperner.bitset import minimal_masks
 from sperner.generators import random_one_sperner
-from sperner.hypergraph import is_one_sperner
+from sperner.hypergraph import gluing_preorder, is_one_sperner
 
 from oracles import separates_mask_by_mask
 from test_regularity_pretest import sperner_families
@@ -26,7 +26,7 @@ def _certifies(h, witness):
 def test_fold_certifies_exactly_the_one_sperner_families_as_the_lp_does():
     certified = compared = 0
     for h in sperner_families(5):
-        witness = threshold._gluing_threshold_witness(h)
+        witness = threshold._gluing_threshold_witness(h, gluing_preorder(h))
         assert (witness is not None) == is_one_sperner(h), h
         if witness is None:
             continue
@@ -47,7 +47,7 @@ def test_fold_equals_the_lp_on_random_one_sperner_hypergraphs():
         rng = random.Random(1000 + n)
         for _ in range(3 if n <= 20 else 1):
             h = random_one_sperner(n, rng)
-            witness = threshold._gluing_threshold_witness(h)
+            witness = threshold._gluing_threshold_witness(h, gluing_preorder(h))
             assert witness is not None and witness.verify(h), h
             if 0 in h.edge_masks or not h.edge_masks:
                 continue

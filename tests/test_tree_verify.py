@@ -31,7 +31,7 @@ def candidate_certificates(h, rng):
     """The fold's (w, t), random weights with a threshold near their
     heaviest independent set, and each of them with t moved by one and
     with one weight moved by one."""
-    fold = threshold._gluing_threshold_witness(h)
+    fold = threshold._gluing_threshold_witness(h, gluing_preorder(h))
     base = [([int(w) for w in fold.weights], int(fold.threshold))]
     for _ in range(2):
         w = [rng.randint(0, 6) for _ in range(h.n)]

@@ -2,14 +2,20 @@
 it to exit code 2 with an ``error:`` line. Each test corrupts the producer
 a check guards and expects the check to fire."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sperner
 import sperner.cli as cli
 import sperner.domination as domination
 import sperner.hypergraph as hypergraph
-from sperner.cliquewidth import Leaf
+from sperner.cliquewidth import (ExpressionError, ExpressionParseError, Leaf,
+                                 format_expression, parse_expression)
 from sperner.domination import DominationError, DominationResult
 from sperner.generators import random_one_sperner
 from sperner.graphs import Graph
@@ -121,3 +127,40 @@ def test_split_reduce_check(variant):
     bad = lambda g: DominationResult("dominating", 1, frozenset({0}))
     with pytest.raises(DominationError, match="witness fails verification"):
         domination.split_reduce(p4, variant, gamma_solver=bad)
+
+
+# one more digit than Python's default limit on int-string conversion
+LONG_DIGITS = "1" * 5000
+
+
+@pytest.mark.parametrize("text, line, column", [
+    (f"(leaf 1 v{LONG_DIGITS})", 1, 9),
+    (f"(union (leaf 1 v0)\n  (leaf 2 -{LONG_DIGITS}))", 2, 11),
+    (f"(leaf 1 {LONG_DIGITS})", 1, 9),
+], ids=["v-literal", "negative", "bare"])
+def test_long_vertex_literal_is_a_parse_error(text, line, column):
+    with pytest.raises(ExpressionParseError, match="more digits than an int reads") as err:
+        parse_expression(text)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize("vertex", [10 ** 5000, -(10 ** 5000), LONG_DIGITS],
+                         ids=["int", "negative-int", "digit-string"])
+def test_vertex_id_that_does_not_print_is_an_expression_error(vertex):
+    with pytest.raises(ExpressionError):
+        format_expression(Leaf(1, vertex))
+
+
+def test_eval_of_a_long_vertex_literal_exits_2_without_a_traceback(tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_text(f"(leaf 1 v{LONG_DIGITS})\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(sperner.__file__).parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "sperner.cli", "eval", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.splitlines() == [
+        "error: line 1, column 9: vertex id of 5001 characters has more digits "
+        "than an int reads"]
