@@ -64,6 +64,22 @@ def containment_pair(masks: Sequence[int]) -> Optional[tuple[int, int]]:
     return None
 
 
+def min_difference_pair(masks: Sequence[int], lo: int, hi: int
+                        ) -> Optional[tuple[int, int]]:
+    """Positions (i, j), i < j, of the first two masks a, b whose min
+    set-difference size lies outside [lo, hi], or None. The min of d =
+    |a\\b| and e = |b\\a| is below lo iff d or e is, above hi iff both are."""
+    for i, a in enumerate(masks):
+        for j, b in enumerate(masks[i + 1:], i + 1):
+            d = (a & ~b).bit_count()
+            if d < lo:
+                return i, j
+            e = (b & ~a).bit_count()
+            if e < lo or (d > hi and e > hi):
+                return i, j
+    return None
+
+
 def iter_maximal_cliques(adj: list[int], n: int) -> Iterator[int]:
     """Yield every maximal clique of the graph given by adjacency masks.
 

@@ -21,7 +21,8 @@ from . import textio
 from .bitset import minimal_masks
 from .cliquewidth import (ExpressionError, built, evaluate, format_expression,
                           parse_expression)
-from .decomposition import GRAPH_CLASSES, DecompositionError, tree_to_text
+from .decomposition import (GRAPH_CLASSES, DecompositionError,
+                            check_decomposition_tree, tree_to_text)
 from .domination import (VARIANTS, DominationError, OutOfClassError,
                          brute_force, solve_h_free_split_all)
 from .generators import (random_bigraph_2p3_free, random_one_sperner,
@@ -114,7 +115,9 @@ def cmd_decompose(args) -> int:
         print(_hyper_tree_text(tree))
         return 0
     g = textio.read_graph(_load(args.path))
-    sys.stdout.write(tree_to_text(GRAPH_CLASSES[args.kind](g)))
+    tree = GRAPH_CLASSES[args.kind](g)
+    check_decomposition_tree(g, tree, args.kind)
+    sys.stdout.write(tree_to_text(tree))
     return 0
 
 

@@ -52,7 +52,8 @@ induced copy in an out-of-class input.
 
 ``GRAPH_CLASSES`` is the one place that maps a class name (the CLI's
 ``--kind``) to its decomposer of unlabeled graphs: the class's partition
-search followed by its ``decompose_*`` function.
+search followed by its ``decompose_*`` function, and ``CLASS_MATRICES``
+to its (a, b), which ``check_decomposition_tree`` checks.
 """
 
 from __future__ import annotations
@@ -61,11 +62,11 @@ import re
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .bitset import bits, containment_pair, mask_of, popcount
+from .bitset import bits, containment_pair, mask_of, min_difference_pair, popcount
 from .graphs import (Graph, GraphError, LabeledBigraph, LabeledSplitGraph,
                      find_bipartition, find_induced, find_split_partition,
                      pattern)
-from .hypergraph import PreorderView, gluing_split, preorder_depths
+from .hypergraph import PreorderView, gluing_split, marked_preorder, preorder_depths
 
 
 class DecompositionError(ValueError):
@@ -109,13 +110,8 @@ def _middle_pair_witness(g: Graph, side, restrict: int):
     ways; the shape every labeled forbidden pattern of the incidence
     correspondence reduces to."""
     vs = sorted(side)
-    for i, u in enumerate(vs):
-        nu = g.adj[u] & restrict
-        for v in vs[i + 1:]:
-            nv = g.adj[v] & restrict
-            if popcount(nu & ~nv) >= 2 and popcount(nv & ~nu) >= 2:
-                return (u, v)
-    return None
+    pair = min_difference_pair([g.adj[v] & restrict for v in vs], 0, 1)
+    return None if pair is None else (vs[pair[0]], vs[pair[1]])
 
 
 def labeled_two_p3_witness(lb: LabeledBigraph):
@@ -559,3 +555,30 @@ GRAPH_CLASSES = {
         _found(find_right_sperner_bipartition(g), "right-Sperner bipartition")),
     "cobigraph": lambda g: decompose_cobigraph(g),
 }
+
+# Class name -> the (a, b) of every node of its trees.
+CLASS_MATRICES = {"split-H": (0, 1), "split-Hbar": (1, 0), "bigraph": (0, 0),
+                  "cobigraph": (1, 1)}
+
+
+def check_decomposition_tree(g: Graph, tree: GraphDecompositionTree, kind: str):
+    """Raise ``DecompositionError`` unless ``tree`` is an M[a,b]
+    decomposition of g for the class ``kind``: every node is tagged with
+    the class's (a, b) and passes ``validate_m_partition``, and the z's
+    and the leaf vertices cover the vertex set exactly once."""
+    a, b = CLASS_MATRICES[kind]
+    covered = []
+    for x in marked_preorder(tree):
+        if isinstance(x, DecompLeaf):
+            if x.vertex is not None:
+                covered.append(x.vertex)
+            continue
+        if (x.a, x.b) != (a, b):
+            raise DecompositionError(f"node tagged M[{x.a},{x.b}], expected M[{a},{b}]")
+        ok, pair = validate_m_partition(g, x)
+        if not ok:
+            raise DecompositionError(f"node at z={x.z} violates its matrix at {pair}")
+        covered.append(x.z)
+    covered.sort()
+    if covered != list(range(g.n)):
+        raise DecompositionError(f"tree covers {covered}")

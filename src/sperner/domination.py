@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .bitset import bits, is_connected, mask_of, popcount
 from .cliquewidth import (LEAF, REL, UNION, KExpression, evaluate, max_label,
@@ -297,12 +297,10 @@ def _verified(g: Graph, variant: str, witness: frozenset) -> DominationResult:
     return DominationResult(variant, len(witness), witness)
 
 
-def split_reduce(g: Graph, variant: str,
-                 gamma_solver: Optional[Callable[[Graph], DominationResult]] = None
-                 ) -> DominationResult:
+def split_reduce(g: Graph, variant: str) -> DominationResult:
     """Total/connected domination on a connected split graph from a minimum
-    dominating set (``gamma_solver``, brute force by default) moved into the
-    clique side: gamma_c = gamma always, gamma_t = max(gamma, 2)."""
+    dominating set (by ``brute_force``) moved into the clique side:
+    gamma_c = gamma always, gamma_t = max(gamma, 2)."""
     if variant not in VARIANTS:
         raise DominationError(f"unknown variant {variant!r}")
     part = find_split_partition(g)
@@ -310,9 +308,7 @@ def split_reduce(g: Graph, variant: str,
         raise DominationError("graph is not split")
     if g.n < 2 or not g.is_connected():
         raise DominationError("split reductions need a connected graph, n >= 2")
-    if gamma_solver is None:
-        gamma_solver = lambda gg: brute_force(gg, "dominating")
-    dstar = _kside_minimum_dominating(g, *part, gamma_solver(g))
+    dstar = _kside_minimum_dominating(g, *part, brute_force(g, "dominating"))
     return _verified(g, variant, _total_witness(g, dstar) if variant == "total" else dstar)
 
 

@@ -24,6 +24,10 @@ from .bitset import (bits, connected_components, is_connected, mask_of,
                      maximal_cliques, minimal_masks, popcount)
 from .hypergraph import Hypergraph, co_occurrence_adjacency, dual_masks
 
+# caps on the pattern size of find_induced and on the 2^n scan of cutset_hypergraph
+PATTERN_CAP = 7
+CUTSET_CAP = 18
+
 
 class GraphError(ValueError):
     pass
@@ -165,7 +169,7 @@ def pattern(name: str) -> Graph:
 # Induced subgraph search
 # ---------------------------------------------------------------------------
 
-def find_induced(g: Graph, pat: Graph, cap: int = 7) -> Optional[tuple[int, ...]]:
+def find_induced(g: Graph, pat: Graph) -> Optional[tuple[int, ...]]:
     """An injective map realizing ``pat`` as an induced subgraph of ``g``.
 
     Returns the image tuple (pattern vertex i -> host vertex) or None.
@@ -175,8 +179,8 @@ def find_induced(g: Graph, pat: Graph, cap: int = 7) -> Optional[tuple[int, ...]
     non-adjacency are both enforced (induced embedding).
     """
     k = pat.n
-    if k > cap:
-        raise GraphError(f"pattern with {k} vertices exceeds cap {cap}")
+    if k > PATTERN_CAP:
+        raise GraphError(f"pattern with {k} vertices exceeds cap {PATTERN_CAP}")
     if k > g.n:
         return None
     if k == 0:
@@ -373,39 +377,20 @@ def neighborhood_hypergraph(g: Graph) -> Hypergraph:
         range(g.n), minimal_masks(g.adj[v] for v in range(g.n)))
 
 
-def dominating_set_hypergraph(g: Graph, method: str = "transversal") -> Hypergraph:
-    """Hyperedges are the inclusion-minimal dominating sets.
-
-    ``method="transversal"`` computes minimal transversals of the closed
-    neighborhood family; ``method="scan"`` enumerates subsets directly
-    (cross-check route, n <= 20).
-    """
-    if method == "transversal":
-        masks = dual_masks([g.closed_mask(v) for v in range(g.n)], g.n)
-        return Hypergraph.from_masks(range(g.n), masks)
-    if method == "scan":
-        if g.n > 20:
-            raise GraphError("scan method capped at 20 vertices")
-        closed = [g.closed_mask(v) for v in range(g.n)]
-        full = (1 << g.n) - 1
-        dom = []
-        for mask in range(1 << g.n):
-            cover = 0
-            for v in bits(mask):
-                cover |= closed[v]
-            if cover == full:
-                dom.append(mask)
-        return Hypergraph.from_masks(range(g.n), minimal_masks(dom))
-    raise GraphError(f"unknown method {method!r}")
+def dominating_set_hypergraph(g: Graph) -> Hypergraph:
+    """Hyperedges are the inclusion-minimal dominating sets: the minimal
+    transversals of the closed neighborhood family."""
+    masks = dual_masks([g.closed_mask(v) for v in range(g.n)], g.n)
+    return Hypergraph.from_masks(range(g.n), masks)
 
 
-def cutset_hypergraph(g: Graph, cap: int = 18) -> Hypergraph:
+def cutset_hypergraph(g: Graph) -> Hypergraph:
     """Hyperedges are the inclusion-minimal cutsets (brute force, small n).
 
     S is a cutset iff g - S has at least two connected components.
     """
-    if g.n > cap:
-        raise GraphError(f"cutset enumeration capped at {cap} vertices")
+    if g.n > CUTSET_CAP:
+        raise GraphError(f"cutset enumeration capped at {CUTSET_CAP} vertices")
     adj = list(g.adj)
     full = (1 << g.n) - 1
     cuts = []

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Union
 
 from .bitset import (bits, containment_pair, iter_maximal_cliques, mask_of,
-                     popcount)
+                     min_difference_pair, popcount)
 
 
 class HypergraphError(ValueError):
@@ -140,16 +140,10 @@ class Hypergraph:
     def mask_from_ids(self, ids: Iterable[int]) -> int:
         return mask_of(self.position(v) for v in ids)
 
-    def incidence_matrix(self, row_order: Optional[list[int]] = None
-                         ) -> tuple[tuple[int, ...], ...]:
-        """0/1 matrix, rows = hyperedges, cols = vertices in sorted order.
-
-        Rows default to canonical (sorted mask) order; an explicit order is
-        a list of row indices.
-        """
-        rows = row_order if row_order is not None else range(self.m)
-        return tuple(tuple((self.edge_masks[r] >> p) & 1 for p in range(self.n))
-                     for r in rows)
+    def incidence_matrix(self) -> tuple[tuple[int, ...], ...]:
+        """0/1 matrix, rows = hyperedges in canonical (sorted mask) order,
+        cols = vertices in sorted order."""
+        return tuple(tuple((e >> p) & 1 for p in range(self.n)) for e in self.edge_masks)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Hypergraph)
@@ -168,20 +162,11 @@ class Hypergraph:
 # Sperner-type predicates
 # ---------------------------------------------------------------------------
 
-def _min_difference_outside(ms, lo: int, hi: int) -> Optional[tuple[int, int]]:
-    """The first pair of masks, in list order, whose min set-difference size
-    min(|a\\b|, |b\\a|) lies outside [lo, hi], or None."""
-    for i, a in enumerate(ms):
-        for b in ms[i + 1:]:
-            if not lo <= min((a & ~b).bit_count(), (b & ~a).bit_count()) <= hi:
-                return a, b
-    return None
-
-
 def one_sperner_violation(h: Hypergraph) -> Optional[tuple[frozenset, frozenset]]:
     """A pair of hyperedges with min set-difference size != 1, or None."""
-    pair = _min_difference_outside(h.edge_masks, 1, 1)
-    return None if pair is None else (h.edge_set(pair[0]), h.edge_set(pair[1]))
+    ms = h.edge_masks
+    pair = min_difference_pair(ms, 1, 1)
+    return None if pair is None else (h.edge_set(ms[pair[0]]), h.edge_set(ms[pair[1]]))
 
 
 def is_sperner(h: Hypergraph) -> bool:
@@ -191,14 +176,14 @@ def is_sperner(h: Hypergraph) -> bool:
 
 def is_dually_sperner(h: Hypergraph) -> bool:
     """Every two distinct hyperedges have min set-difference size <= 1."""
-    return _min_difference_outside(h.edge_masks, 0, 1) is None
+    return min_difference_pair(h.edge_masks, 0, 1) is None
 
 
 def is_k_sperner(h: Hypergraph, k: int) -> bool:
     """Every two distinct hyperedges e, f satisfy 1 <= min(|e\\f|, |f\\e|) <= k."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _min_difference_outside(h.edge_masks, 1, k) is None
+    return min_difference_pair(h.edge_masks, 1, k) is None
 
 
 def is_one_sperner(h: Hypergraph) -> bool:

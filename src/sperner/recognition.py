@@ -16,7 +16,7 @@ so the sweeps assert full agreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .bitset import bits, mask_of
 from .graphs import (Graph, GraphError, clique_hypergraph,
@@ -29,6 +29,8 @@ from .threshold import is_k_asummable, is_threshold_hypergraph
 
 THRESHOLD_FORBIDDEN = ("P4", "C4", "2K2")
 DOMISHOLD_FORBIDDEN = ("P4", "2K2", "K33", "K33+", "co-2P3")
+# the most vertices of a graph the equivalence reports and hereditary checks take
+VERTEX_CAP = 8
 
 
 def is_threshold_graph(g: Graph) -> bool:
@@ -184,15 +186,15 @@ class EquivalenceReport:
         return out
 
 
-def check_threshold_equivalences(g: Graph, cap: int = 8) -> EquivalenceReport:
+def check_threshold_equivalences(g: Graph) -> EquivalenceReport:
     """Evaluate the threshold-graph characterizations on g.
 
     The seven predicates - forbidden-subgraph thresholdness of g and the
     1-Sperner / threshold / 2-asummable properties of the vertex cover and
     clique hypergraphs - must all agree.
     """
-    if g.n > cap:
-        raise GraphError(f"equivalence report capped at {cap} vertices")
+    if g.n > VERTEX_CAP:
+        raise GraphError(f"equivalence report capped at {VERTEX_CAP} vertices")
     vc = vertex_cover_hypergraph(g)
     cl = clique_hypergraph(g)
     records = (
@@ -207,7 +209,7 @@ def check_threshold_equivalences(g: Graph, cap: int = 8) -> EquivalenceReport:
     return EquivalenceReport(g, records)
 
 
-def check_domishold_equivalences(g: Graph, cap: int = 8) -> EquivalenceReport:
+def check_domishold_equivalences(g: Graph) -> EquivalenceReport:
     """Evaluate the domishold-graph characterizations on g.
 
     Six predicates must agree: forbidden-subgraph domisholdness, the
@@ -216,8 +218,8 @@ def check_domishold_equivalences(g: Graph, cap: int = 8) -> EquivalenceReport:
     the dominating set hypergraph. 1-Spernerness of the dominating set
     hypergraph is reported but not part of the equivalence.
     """
-    if g.n > cap:
-        raise GraphError(f"equivalence report capped at {cap} vertices")
+    if g.n > VERTEX_CAP:
+        raise GraphError(f"equivalence report capped at {VERTEX_CAP} vertices")
     nh = closed_neighborhood_hypergraph(g)
     dh = dominating_set_hypergraph(g)
     records = (
@@ -236,35 +238,18 @@ def check_domishold_equivalences(g: Graph, cap: int = 8) -> EquivalenceReport:
 # Hereditary total / connected domishold
 # ---------------------------------------------------------------------------
 
-_HEREDITARY_ROUTES: dict[str, Callable] = {
-    "one-sperner": is_one_sperner,
-    "threshold": is_threshold_hypergraph,
-    "two-asummable": lambda h: is_k_asummable(h, 2),
-}
-
-
-def is_hereditary_total_domishold(g: Graph, via: str = "one-sperner",
-                                  cap: int = 8) -> bool:
+def is_hereditary_total_domishold(g: Graph) -> bool:
     """Whether the neighborhood hypergraph of every induced subgraph of g
-    satisfies the chosen predicate (the three routes agree)."""
-    return _hereditary_check(g, neighborhood_hypergraph, via, cap)
+    is 1-Sperner."""
+    return _hereditary_check(g, neighborhood_hypergraph)
 
 
-def is_hereditary_connected_domishold(g: Graph, via: str = "one-sperner",
-                                      cap: int = 8) -> bool:
+def is_hereditary_connected_domishold(g: Graph) -> bool:
     """Same as the total variant but for cutset hypergraphs."""
-    return _hereditary_check(g, cutset_hypergraph, via, cap)
+    return _hereditary_check(g, cutset_hypergraph)
 
 
-def _hereditary_check(g: Graph, derive, via: str, cap: int) -> bool:
-    if g.n > cap:
-        raise GraphError(f"hereditary check capped at {cap} vertices")
-    try:
-        predicate = _HEREDITARY_ROUTES[via]
-    except KeyError:
-        raise GraphError(f"unknown route {via!r}") from None
-    for sub in range(1 << g.n):
-        gs = g.induced(bits(sub))
-        if not predicate(derive(gs)):
-            return False
-    return True
+def _hereditary_check(g: Graph, derive) -> bool:
+    if g.n > VERTEX_CAP:
+        raise GraphError(f"hereditary check capped at {VERTEX_CAP} vertices")
+    return all(is_one_sperner(derive(g.induced(bits(sub)))) for sub in range(1 << g.n))

@@ -3,7 +3,8 @@ and the ``sperner sweep`` command.
 
 Every sweep is deterministic given its seed and caps, records both in its
 report, and returns the full list of disagreement descriptions (an empty
-list means the suite passed).
+list means the suite passed). ``max_n`` and ``seed`` are parameters
+where ``sperner sweep`` passes them; the other caps are constants.
 """
 
 from __future__ import annotations
@@ -11,16 +12,17 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .bitset import bits, mask_of
 from .cliquewidth import (built, evaluate, expression_length, max_label,
                           parse_expression)
-from .decomposition import (DecompLeaf, MPartition, decompose_bigraph_2p3_free,
+from .decomposition import (DecompositionError, MPartition,
+                            check_decomposition_tree, decompose_bigraph_2p3_free,
                             decompose_cobigraph, decompose_split_h_free,
                             decompose_split_hbar_free, is_clique_sperner,
                             is_independent_sperner, is_right_sperner,
-                            labeled_two_p3_witness, validate_m_partition)
+                            labeled_two_p3_witness)
 from .domination import (VARIANTS, brute_force, dp_dominating_set, is_dominating,
                          solve_h_free_split_all)
 from .generators import (antichain_bitmaps, hyperedge_families, labeled_graphs,
@@ -28,7 +30,7 @@ from .generators import (antichain_bitmaps, hyperedge_families, labeled_graphs,
                          random_cobigraph, random_graph, random_one_sperner,
                          random_split_h_free, random_split_hbar_free,
                          split_graph_structures)
-from .graphs import (Graph, LabeledSplitGraph, bigraph_of,
+from .graphs import (Graph, GraphError, LabeledSplitGraph, bigraph_of,
                      dominating_set_hypergraph, edge_clique_split_of,
                      find_induced, pattern, vertex_clique_split_of)
 from .hypergraph import (Hypergraph, decompose, dual_masks, is_conformal,
@@ -38,6 +40,23 @@ from .recognition import check_domishold_equivalences, check_threshold_equivalen
 from .threshold import is_k_asummable, is_threshold_hypergraph
 
 DEFAULT_SEED = 177
+
+# The caps of the acceptance criteria that are not parameters; each
+# report records the ones its sweep reads.
+EQUIVALENCE_RANDOM_NS = (7, 8)
+EQUIVALENCE_RANDOM_PER_N = 500
+ROUNDTRIP_SAMPLES = 1000
+ROUNDTRIP_EXHAUSTIVE_N = 4
+INVOLUTION_LIBRARY_EXHAUSTIVE_N = 5
+INVOLUTION_LIBRARY_SAMPLE = 100_000
+INCIDENCE_MAX_N = 5
+INCIDENCE_MAX_M = 5
+PER_CLASS = 500
+EXHAUSTIVE_TOTAL = 8
+DOMINATION_GEN_MAX_N = 12
+DOMINATION_DP_MAX_N = 14
+DOMINATION_EXHAUSTIVE_N = 8
+DOMINATION_REDUCTION_N = 9
 
 
 @dataclass
@@ -70,76 +89,68 @@ class SweepReport:
         return out
 
 
-def _random_graph_pool(ns: Iterable[int], count_per_n: int, seed: int) -> Iterator[Graph]:
-    rng = random.Random(seed)
-    for n in ns:
-        for _ in range(count_per_n):
-            yield random_graph(n, rng)
-
-
 # ---------------------------------------------------------------------------
 # Criterion 1 and 2: equivalence suites
 # ---------------------------------------------------------------------------
 
-def threshold_equivalence_sweep(max_n: int = 6, random_ns=(7, 8),
-                                random_per_n: int = 500,
-                                seed: int = DEFAULT_SEED) -> SweepReport:
+def threshold_equivalence_sweep(max_n: int = 6, seed: int = DEFAULT_SEED) -> SweepReport:
     """All seven threshold characterizations agree on every labeled graph
     with at most max_n vertices and on seeded random larger graphs."""
     rep = SweepReport("threshold-equiv", seed,
-                      {"max_n": max_n, "random_per_n": random_per_n})
+                      {"max_n": max_n, "random_per_n": EQUIVALENCE_RANDOM_PER_N})
     t0 = time.time()
-    for g in _equivalence_instances(max_n, random_ns, random_per_n, seed):
+    for g in _equivalence_instances(max_n, seed):
         rep.instances += 1
-        r = check_threshold_equivalences(g, cap=max(max_n, *random_ns))
+        r = check_threshold_equivalences(g)
         if not r.agrees:
             rep.flag(f"{g}: " + "; ".join(r.lines()))
     rep.elapsed = time.time() - t0
     return rep
 
 
-def domishold_equivalence_sweep(max_n: int = 6, random_ns=(7, 8),
-                                random_per_n: int = 500,
-                                seed: int = DEFAULT_SEED) -> SweepReport:
+def domishold_equivalence_sweep(max_n: int = 6, seed: int = DEFAULT_SEED) -> SweepReport:
     """The six domishold characterizations agree on the same instance set,
     and the dominating set hypergraph of C4 is threshold but not 1-Sperner."""
     rep = SweepReport("domishold-equiv", seed,
-                      {"max_n": max_n, "random_per_n": random_per_n})
+                      {"max_n": max_n, "random_per_n": EQUIVALENCE_RANDOM_PER_N})
     t0 = time.time()
     c4 = pattern("C4")
     dh = dominating_set_hypergraph(c4)
     if not is_threshold_hypergraph(dh) or is_one_sperner(dh):
         rep.flag("dominating set hypergraph of C4 must be threshold, not 1-Sperner")
-    for g in _equivalence_instances(max_n, random_ns, random_per_n, seed):
+    for g in _equivalence_instances(max_n, seed):
         rep.instances += 1
-        r = check_domishold_equivalences(g, cap=max(max_n, *random_ns))
+        r = check_domishold_equivalences(g)
         if not r.agrees:
             rep.flag(f"{g}: " + "; ".join(r.lines()))
     rep.elapsed = time.time() - t0
     return rep
 
 
-def _equivalence_instances(max_n, random_ns, random_per_n, seed):
+def _equivalence_instances(max_n, seed):
     for n in range(max_n + 1):
         yield from labeled_graphs(n)
-    yield from _random_graph_pool(random_ns, random_per_n, seed)
+    rng = random.Random(seed)
+    for n in EQUIVALENCE_RANDOM_NS:
+        for _ in range(EQUIVALENCE_RANDOM_PER_N):
+            yield random_graph(n, rng)
 
 
 # ---------------------------------------------------------------------------
 # Criterion 3: gluing decomposition round trip + transversal involution
 # ---------------------------------------------------------------------------
 
-def decomposition_roundtrip_sweep(samples: int = 1000, max_n: int = 14,
-                                  exhaustive_n: int = 4,
-                                  seed: int = DEFAULT_SEED) -> SweepReport:
+def decomposition_roundtrip_sweep(max_n: int = 14, seed: int = DEFAULT_SEED) -> SweepReport:
     """decompose/recompose is bit-exact on seeded random 1-Sperner
-    hypergraphs and on every 1-Sperner hypergraph with few vertices."""
+    hypergraphs with 0 to max_n vertices and on every 1-Sperner hypergraph
+    with few vertices."""
+    _check_max_n("decomposition-roundtrip", max_n, 0)
     rep = SweepReport("decomposition-roundtrip", seed,
-                      {"samples": samples, "max_n": max_n,
-                       "exhaustive_n": exhaustive_n})
+                      {"samples": ROUNDTRIP_SAMPLES, "max_n": max_n,
+                       "exhaustive_n": ROUNDTRIP_EXHAUSTIVE_N})
     t0 = time.time()
     rng = random.Random(seed)
-    for _ in range(samples):
+    for _ in range(ROUNDTRIP_SAMPLES):
         h = random_one_sperner(rng.randint(0, max_n), rng)
         rep.instances += 1
         if not is_one_sperner(h):
@@ -147,7 +158,7 @@ def decomposition_roundtrip_sweep(samples: int = 1000, max_n: int = 14,
             continue
         if recompose(decompose(h)) != h:
             rep.flag(f"recomposition mismatch on {h}")
-    for n in range(exhaustive_n + 1):
+    for n in range(ROUNDTRIP_EXHAUSTIVE_N + 1):
         for masks in _all_mask_families(n):
             h = Hypergraph.from_masks(range(n), masks)
             if not is_one_sperner(h):
@@ -157,6 +168,11 @@ def decomposition_roundtrip_sweep(samples: int = 1000, max_n: int = 14,
                 rep.flag(f"recomposition mismatch on {h}")
     rep.elapsed = time.time() - t0
     return rep
+
+
+def _check_max_n(suite: str, max_n: int, least: int):
+    if max_n < least:
+        raise GraphError(f"suite {suite} needs max_n >= {least}, got {max_n}")
 
 
 def _all_mask_families(n: int) -> Iterator[tuple[int, ...]]:
@@ -201,24 +217,21 @@ def dual_family_bitmap(fam: int) -> int:
     return tr & ~nonmin & _FULL6
 
 
-def transversal_involution_sweep(max_n: int = 6, library_exhaustive_n: int = 5,
-                                 library_sample: int = 100_000,
-                                 seed: int = DEFAULT_SEED) -> SweepReport:
-    """transversal(transversal(h)) == h for every Sperner h on <= max_n vertices.
+def transversal_involution_sweep(seed: int = DEFAULT_SEED) -> SweepReport:
+    """transversal(transversal(h)) == h for every Sperner h on <= 6 vertices.
 
     Every Sperner family over at most six vertices is checked through the
     word-parallel dual (the n < 6 families all reappear over the 6-vertex
     universe, and extra isolated vertices do not change transversals). The
     sequential-extension transversal used by the library is checked to
     agree with the word-parallel dual exhaustively up to
-    library_exhaustive_n vertices and on a seeded sample at six, plus full
-    library-path involution through the Hypergraph API on that sample.
+    INVOLUTION_LIBRARY_EXHAUSTIVE_N vertices and on a seeded sample at six,
+    plus full library-path involution through the Hypergraph API on that
+    sample.
     """
-    if max_n != 6:
-        raise ValueError("this sweep is fixed to the 6-vertex universe")
     rep = SweepReport("transversal-involution", seed,
-                      {"max_n": max_n, "library_exhaustive_n": library_exhaustive_n,
-                       "library_sample": library_sample})
+                      {"max_n": 6, "library_exhaustive_n": INVOLUTION_LIBRARY_EXHAUSTIVE_N,
+                       "library_sample": INVOLUTION_LIBRARY_SAMPLE})
     t0 = time.time()
     rng = random.Random(seed)
     sampled = 0
@@ -228,7 +241,7 @@ def transversal_involution_sweep(max_n: int = 6, library_exhaustive_n: int = 5,
         dual = dual_family_bitmap(fam)
         if dual_family_bitmap(dual) != fam:
             rep.flag(f"involution failed on family bitmap {fam:#x}")
-        if rng.random() * 7_828_354 > library_sample:
+        if rng.random() * 7_828_354 > INVOLUTION_LIBRARY_SAMPLE:
             continue
         masks = tuple(bits(fam))
         if sum(1 << m for m in dual_masks(masks, 6)) != dual:
@@ -240,7 +253,7 @@ def transversal_involution_sweep(max_n: int = 6, library_exhaustive_n: int = 5,
         sampled += 1
     rep.notes.append(f"word-parallel involution over {rep.instances} Sperner families")
     checked = 0
-    for n in range(library_exhaustive_n + 1):
+    for n in range(INVOLUTION_LIBRARY_EXHAUSTIVE_N + 1):
         for fam in antichain_bitmaps(n):
             masks = tuple(bits(fam))
             got = sum(1 << m for m in dual_masks(masks, 6))
@@ -257,17 +270,17 @@ def transversal_involution_sweep(max_n: int = 6, library_exhaustive_n: int = 5,
 # Criterion 4: incidence translation
 # ---------------------------------------------------------------------------
 
-def incidence_translation_sweep(max_n: int = 5, max_m: int = 5) -> SweepReport:
+def incidence_translation_sweep() -> SweepReport:
     """1-Spernerness of a hypergraph matches all three incidence-graph
-    characterizations for every hypergraph with <= max_n vertices and
-    <= max_m hyperedges."""
+    characterizations for every hypergraph with <= INCIDENCE_MAX_N
+    vertices and <= INCIDENCE_MAX_M hyperedges."""
     rep = SweepReport("incidence-translation", None,
-                      {"max_n": max_n, "max_m": max_m})
+                      {"max_n": INCIDENCE_MAX_N, "max_m": INCIDENCE_MAX_M})
     t0 = time.time()
     co_h = pattern("co-H")
     h_pat = pattern("H")
-    for n in range(max_n + 1):
-        for masks in hyperedge_families(n, max_m):
+    for n in range(INCIDENCE_MAX_N + 1):
+        for masks in hyperedge_families(n, INCIDENCE_MAX_M):
             h = Hypergraph.from_masks(range(n), masks)
             rep.instances += 1
             want = is_one_sperner(h)
@@ -301,20 +314,18 @@ def _cobigraph_of(h: Hypergraph):
 
 class _Class(NamedTuple):
     decompose: Callable      # instance -> decomposition tree
-    ab: tuple[int, int]      # the M[a,b] of every node
     generate: Callable       # (size, rng) -> instance
     of_hypergraph: Callable  # 1-Sperner hypergraph -> instance, or None
 
 
 # Instances are labeled graphs, except the plain graphs of "cobigraph".
 _CLASSES = {
-    "split-H": _Class(decompose_split_h_free, (0, 1), random_split_h_free,
-                      edge_clique_split_of),
-    "split-Hbar": _Class(decompose_split_hbar_free, (1, 0), random_split_hbar_free,
+    "split-H": _Class(decompose_split_h_free, random_split_h_free, edge_clique_split_of),
+    "split-Hbar": _Class(decompose_split_hbar_free, random_split_hbar_free,
                          vertex_clique_split_of),
-    "bigraph": _Class(decompose_bigraph_2p3_free, (0, 0), random_bigraph_2p3_free,
+    "bigraph": _Class(decompose_bigraph_2p3_free, random_bigraph_2p3_free,
                       _two_p3_free_bigraph_of),
-    "cobigraph": _Class(decompose_cobigraph, (1, 1), random_cobigraph, _cobigraph_of),
+    "cobigraph": _Class(decompose_cobigraph, random_cobigraph, _cobigraph_of),
 }
 CLASS_NAMES = tuple(_CLASSES)
 
@@ -343,28 +354,18 @@ def _generated_class_instances(name: str, count: int, max_n: int, seed: int):
 
 
 def _check_decomposition(name: str, inst, rep: SweepReport):
-    a, b = _CLASSES[name].ab
     tree, g = _CLASSES[name].decompose(inst), _graph_of(inst)
-    h_pat = pattern("H") if name == "split-H" else None
-    items = marked_preorder(tree)
-    partitions = [x for x in items if isinstance(x, MPartition)]
-    for p in partitions:
-        if (p.a, p.b) != (a, b):
-            rep.flag(f"{name} {g}: node tagged M[{p.a},{p.b}], expected M[{a},{b}]")
-            return
-        ok, pair = validate_m_partition(g, p)
-        if not ok:
-            rep.flag(f"{name} {g}: node at z={p.z} violates its matrix at {pair}")
-            return
-    # leaves and z's cover the vertex set exactly once, counted as a multiset
-    leaves = [x.vertex for x in items if isinstance(x, DecompLeaf) and x.vertex is not None]
-    covered = sorted([p.z for p in partitions] + leaves)
-    if covered != list(range(g.n)):
-        rep.flag(f"{name} {g}: tree covers {covered}")
+    try:
+        check_decomposition_tree(g, tree, name)
+    except DecompositionError as exc:
+        rep.flag(f"{name} {g}: {exc}")
         return
     # children of the split-H decomposition stay in class
     if name == "split-H":
-        for p in partitions:
+        h_pat = pattern("H")
+        for p in marked_preorder(tree):
+            if not isinstance(p, MPartition):
+                continue
             for kpart, ipart in ((p.parts[3], p.parts[1]), (p.parts[4], p.parts[2])):
                 sub, ids = g.induced_with_map(bits(kpart | ipart))
                 pos = {v: i for i, v in enumerate(ids)}
@@ -376,20 +377,20 @@ def _check_decomposition(name: str, inst, rep: SweepReport):
     return tree
 
 
-def graph_decomposition_sweep(per_class: int = 500, max_n: int = 20,
-                              exhaustive_total: int = 8,
-                              seed: int = DEFAULT_SEED) -> SweepReport:
+def graph_decomposition_sweep(max_n: int = 20, seed: int = DEFAULT_SEED) -> SweepReport:
     """Every node of every produced decomposition tree validates against its
-    matrix, on generated instances and exhaustively on small in-class graphs."""
+    matrix, on generated instances with 1 to max_n vertices and exhaustively
+    on small in-class graphs."""
+    _check_max_n("graph-decomposition", max_n, 1)
     rep = SweepReport("graph-decomposition", seed,
-                      {"per_class": per_class, "max_n": max_n,
-                       "exhaustive_total": exhaustive_total})
+                      {"per_class": PER_CLASS, "max_n": max_n,
+                       "exhaustive_total": EXHAUSTIVE_TOTAL})
     t0 = time.time()
     for name in CLASS_NAMES:
-        for inst in _exhaustive_class_instances(name, exhaustive_total):
+        for inst in _exhaustive_class_instances(name, EXHAUSTIVE_TOTAL):
             rep.instances += 1
             _check_decomposition(name, inst, rep)
-        for inst in _generated_class_instances(name, per_class, max_n, seed):
+        for inst in _generated_class_instances(name, PER_CLASS, max_n, seed):
             rep.instances += 1
             _check_decomposition(name, inst, rep)
     rep.elapsed = time.time() - t0
@@ -405,15 +406,14 @@ def _build_instance(name: str, inst):
     return built(_CLASSES[name].decompose(inst)), _graph_of(inst)
 
 
-def cliquewidth_roundtrip_sweep(per_class: int = 500, max_n: int = 20,
-                                exhaustive_total: int = 8,
-                                seed: int = DEFAULT_SEED) -> SweepReport:
-    """eval(build(g)) == g with labels in [5]; the split-H expressions stay
-    within 60 tokens per vertex; the bundled P4 3-expression fixture
-    evaluates to P4."""
+def cliquewidth_roundtrip_sweep(max_n: int = 20, seed: int = DEFAULT_SEED) -> SweepReport:
+    """eval(build(g)) == g with labels in [5], on the instances of
+    ``graph_decomposition_sweep``; the split-H expressions stay within 60
+    tokens per vertex; the bundled P4 3-expression fixture evaluates to P4."""
+    _check_max_n("cwd-roundtrip", max_n, 1)
     rep = SweepReport("cwd-roundtrip", seed,
-                      {"per_class": per_class, "max_n": max_n,
-                       "exhaustive_total": exhaustive_total})
+                      {"per_class": PER_CLASS, "max_n": max_n,
+                       "exhaustive_total": EXHAUSTIVE_TOTAL})
     t0 = time.time()
     fixture = evaluate(parse_expression(P4_EXPRESSION_TEXT), k=3)
     p4_edges = {frozenset((1, 2)), frozenset((2, 3)), frozenset((3, 4))}
@@ -421,8 +421,8 @@ def cliquewidth_roundtrip_sweep(per_class: int = 500, max_n: int = 20,
         rep.flag("P4 3-expression fixture does not evaluate to P4")
     worst_ratio = 0.0
     for name in CLASS_NAMES:
-        for where, gen in (("exhaustive", _exhaustive_class_instances(name, exhaustive_total)),
-                           ("generated", _generated_class_instances(name, per_class, max_n, seed))):
+        for where, gen in (("exhaustive", _exhaustive_class_instances(name, EXHAUSTIVE_TOTAL)),
+                           ("generated", _generated_class_instances(name, PER_CLASS, max_n, seed))):
             for inst in gen:
                 rep.instances += 1
                 expr, g = _build_instance(name, inst)
@@ -447,23 +447,22 @@ def cliquewidth_roundtrip_sweep(per_class: int = 500, max_n: int = 20,
 # Criterion 7: domination
 # ---------------------------------------------------------------------------
 
-def domination_sweep(per_class: int = 500, gen_max_n: int = 12,
-                     dp_max_n: int = 14, exhaustive_n: int = 8,
-                     reduction_n: int = 9, seed: int = DEFAULT_SEED) -> SweepReport:
+def domination_sweep(seed: int = DEFAULT_SEED) -> SweepReport:
     """The k-expression dynamic program matches brute force; the H-free
     split pipeline matches brute force on all three variants; deleting a
     dominated clique vertex preserves the domination number."""
     rep = SweepReport("domination", seed,
-                      {"per_class": per_class, "gen_max_n": gen_max_n,
-                       "dp_max_n": dp_max_n, "exhaustive_n": exhaustive_n,
-                       "reduction_n": reduction_n})
+                      {"per_class": PER_CLASS, "gen_max_n": DOMINATION_GEN_MAX_N,
+                       "dp_max_n": DOMINATION_DP_MAX_N,
+                       "exhaustive_n": DOMINATION_EXHAUSTIVE_N,
+                       "reduction_n": DOMINATION_REDUCTION_N})
     t0 = time.time()
     # dp vs brute force on the criterion-6 expressions of bounded size
     for name in CLASS_NAMES:
-        for where, gen in (("exhaustive", _exhaustive_class_instances(name, min(exhaustive_n, 8))),
-                           ("generated", _generated_class_instances(name, per_class, 20, seed))):
+        for where, gen in (("exhaustive", _exhaustive_class_instances(name, EXHAUSTIVE_TOTAL)),
+                           ("generated", _generated_class_instances(name, PER_CLASS, 20, seed))):
             for inst in gen:
-                if _graph_of(inst).n > dp_max_n:
+                if _graph_of(inst).n > DOMINATION_DP_MAX_N:
                     continue
                 expr, g = _build_instance(name, inst)
                 rep.instances += 1
@@ -474,19 +473,19 @@ def domination_sweep(per_class: int = 500, gen_max_n: int = 12,
                              f"{got.size} vs {want.size}")
     # pipeline vs brute force, exhaustive in-class then generated
     h_pat = pattern("H")
-    for n in range(exhaustive_n + 1):
+    for n in range(DOMINATION_EXHAUSTIVE_N + 1):
         for ls in split_graph_structures(n):
             if find_induced(ls.g, h_pat) is not None:
                 continue
             rep.instances += 1
             _check_pipeline(ls.g, rep)
     rng = random.Random(seed)
-    for _ in range(per_class):
-        ls = random_split_h_free(rng.randint(1, gen_max_n), rng)
+    for _ in range(PER_CLASS):
+        ls = random_split_h_free(rng.randint(1, DOMINATION_GEN_MAX_N), rng)
         rep.instances += 1
         _check_pipeline(ls.g, rep)
     # single-vertex-deletion reduction preserves gamma on split graphs
-    for n in range(reduction_n + 1):
+    for n in range(DOMINATION_REDUCTION_N + 1):
         for ls in split_graph_structures(n):
             g, K = ls.g, sorted(ls.K)
             imask = mask_of(ls.I)

@@ -20,7 +20,7 @@ which is valid because any separating pair (w, t) can be scaled. Returned
 certificates are re-verified: a separating (w, t) against the hyperedges
 and the heaviest independent set, which for a 1-Sperner input is folded
 along the gluing tree without dualization (see ``ThresholdWitness.verify``),
-and additionally against all 2^n subsets for n <= 20.
+and additionally against all 2^n subsets for n <= EXHAUSTIVE_LIMIT (20).
 
 The all-subsets check is word-parallel (``_separates_all_subsets``). The
 2^n subset sums are lanes of one integer, c bytes per subset, with c the
@@ -61,6 +61,7 @@ from .hypergraph import (HLeaf, Hypergraph, fold_preorder, gluing_preorder,
 from .lp import solve_nonnegative_feasibility
 
 ASUMMABILITY_CAP = 3
+EXHAUSTIVE_LIMIT = 20
 
 
 class ThresholdError(ValueError):
@@ -126,14 +127,13 @@ class AsummabilityWitness:
         return members(self.independent) == members(self.dependent)
 
 
-def k_asummability_witness(h: Hypergraph, k: int,
-                           cap: int = ASUMMABILITY_CAP) -> Optional[AsummabilityWitness]:
+def k_asummability_witness(h: Hypergraph, k: int) -> Optional[AsummabilityWitness]:
     """A verified violating witness for k-asummability, or None if h is
     k-asummable."""
     if k < 2:
         raise ThresholdError("k must be >= 2")
-    if k > cap:
-        raise ThresholdError(f"k-asummability beyond the cap {cap} is not supported")
+    if k > ASUMMABILITY_CAP:
+        raise ThresholdError(f"k-asummability beyond the cap {ASUMMABILITY_CAP} is not supported")
     if h.n > 20:
         raise ThresholdError("asummability testing capped at 20 vertices")
     dep = dependence_table(h)
@@ -151,8 +151,8 @@ def k_asummability_witness(h: Hypergraph, k: int,
     return witness
 
 
-def is_k_asummable(h: Hypergraph, k: int, cap: int = ASUMMABILITY_CAP) -> bool:
-    return k_asummability_witness(h, k, cap) is None
+def is_k_asummable(h: Hypergraph, k: int) -> bool:
+    return k_asummability_witness(h, k) is None
 
 
 def _two_asummability_core(n: int, dep: bytearray):
@@ -270,7 +270,7 @@ class ThresholdWitness:
     weights: tuple[Fraction, ...]
     threshold: Fraction
 
-    def verify(self, h: Hypergraph, exhaustive_limit: int = 20) -> bool:
+    def verify(self, h: Hypergraph) -> bool:
         """Exact separation check.
 
         The weights are first scaled to integers by their common
@@ -283,7 +283,7 @@ class ThresholdWitness:
         (``_heaviest_independent_on_tree``), with no dualization; any other
         input is read over its maximal independent sets.
 
-        For n <= exhaustive_limit it additionally checks all 2^n subsets
+        For n <= EXHAUSTIVE_LIMIT it additionally checks all 2^n subsets
         word-parallel (``_separates_all_subsets``): subset X's sum is lane
         X of one integer, c bytes wide with 2^(8c - 1) above both W = w(V)
         and t, so a sum, and a sum plus 2^(8c - 1) - t, never carries into
@@ -301,7 +301,7 @@ class ThresholdWitness:
             heaviest = _heaviest_independent_on_tree(h, order, wint)
         if heaviest is not None and heaviest >= tint:
             return False
-        return h.n > exhaustive_limit or _separates_all_subsets(h, wint, tint)
+        return h.n > EXHAUSTIVE_LIMIT or _separates_all_subsets(h, wint, tint)
 
 
 def _heaviest_independent_by_duals(h: Hypergraph, wint: list[int]) -> Optional[int]:

@@ -204,7 +204,7 @@ PAIR_TEST_INPUTS = {"bigraph": P7, "cobigraph": P7.complement()}
 ])
 def test_pair_test_and_search_disagreeing_is_a_typed_error(tmp_path, capsys,
                                                            monkeypatch, argv, name):
-    _rebind_find_induced(monkeypatch, lambda g, pat, cap=7: None)
+    _rebind_find_induced(monkeypatch, lambda g, pat: None)
     path = _write(tmp_path, "p.graph", PAIR_TEST_INPUTS.get(argv[-1], pattern(name)))
     code, out, err = run_cli(capsys, argv[0], path, *argv[1:])
     assert (code, out) == (2, "")
@@ -252,15 +252,19 @@ def test_verify_above_the_exhaustive_cap_builds_no_table():
     assert peak < (1 << 24) // 16
 
 
-def test_verify_family_check_agrees_with_the_exhaustive_check():
-    # the family check alone (exhaustive_limit=0) is complete by monotonicity
+def test_verify_family_check_agrees_with_the_exhaustive_check(monkeypatch):
+    # the family check alone (EXHAUSTIVE_LIMIT = 0) is complete by monotonicity
     rng = random.Random(8)
+    cases = []
     for _ in range(30):
         h = random_one_sperner(rng.randint(1, 9), rng)
         tw = threshold_witness(h)
         for t in (tw.threshold, tw.threshold + 1, tw.threshold / 2):
             wit = ThresholdWitness(tw.weights, t)
-            assert wit.verify(h, exhaustive_limit=0) == wit.verify(h), (h, t)
+            cases.append((h, wit, wit.verify(h)))
+    monkeypatch.setattr(threshold, "EXHAUSTIVE_LIMIT", 0)
+    for h, wit, both_checks in cases:
+        assert wit.verify(h) == both_checks, (h, wit.threshold)
 
 
 def test_exhaustive_check_matches_the_per_mask_rule():

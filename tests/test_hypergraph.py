@@ -1,10 +1,12 @@
 """Hypergraph predicates, gluing, decomposition, transversal, conformality."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sperner.bitset import min_difference_pair
 from sperner.hypergraph import (Hypergraph, HypergraphError, HLeaf, HNode,
                                 NotOneSpernerError, decompose, dual_masks, glue,
                                 is_conformal, is_dually_sperner, is_k_sperner,
@@ -76,6 +78,22 @@ class TestSpernerPredicates:
         assert one_sperner_violation(K3_EDGES) is None
 
 
+@pytest.mark.parametrize("lo, hi", [(1, 1), (0, 1), (1, 2), (1, 3)])
+def test_min_difference_pair_is_the_first_pair_outside_the_range(lo, hi):
+    """The short-circuit scan agrees with the definition: the first pair
+    i < j whose min(|a\\b|, |b\\a|) lies outside [lo, hi]."""
+    rng = random.Random(lo * 10 + hi)
+    found = 0
+    for _ in range(5000):
+        masks = [rng.randrange(1 << 6) for _ in range(rng.randint(0, 7))]
+        want = next(((i, j) for i, j in itertools.combinations(range(len(masks)), 2)
+                     if not lo <= min((masks[i] & ~masks[j]).bit_count(),
+                                      (masks[j] & ~masks[i]).bit_count()) <= hi), None)
+        assert min_difference_pair(masks, lo, hi) == want, masks
+        found += want is not None
+    assert 0 < found < 5000
+
+
 def small_hypergraphs(max_n=4, max_m=4):
     def build(draw_data):
         n, picks = draw_data
@@ -119,7 +137,8 @@ class TestGlue:
         zb = 1 << g.position(0)
         rows_z = [i for i, m in enumerate(g.edge_masks) if m & zb]
         rows_o = [i for i, m in enumerate(g.edge_masks) if not m & zb]
-        mat = g.incidence_matrix(row_order=rows_z + rows_o)
+        rows = g.incidence_matrix()
+        mat = [rows[r] for r in rows_z + rows_o]
         m1, n1 = h1.m, h1.n
         for r in range(m1):
             assert mat[r][0] == 1  # all-ones column at z

@@ -1,9 +1,16 @@
-"""A negative vertex count in a graph file header, or a negative
-``generate --size``, is a typed error with exit code 2, not a traceback;
+"""A negative vertex count in a graph file header, a negative
+``generate --size``, or a ``sweep --max-n`` below the smallest size the
+suite draws, is a typed error with exit code 2, not a traceback;
 ``generate --size 0`` gives the empty instance of every kind."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sperner
 import sperner.cli as cli
 from sperner.textio import ParseError, read_graph, read_hypergraph
 
@@ -44,3 +51,28 @@ def test_generate_negative_size_exits_2(capsys, kind):
 def test_generate_size_zero_is_the_empty_instance(capsys, kind, seed):
     assert run_cli(capsys, "--seed", seed, "generate", "--kind", kind, "--size", "0") == (
         0, f"# kind={kind} size=0 seed={seed}\n0 0\n", "")
+
+
+# (suite, the smallest size it draws)
+SWEEPS_THAT_DRAW = [("decomposition-roundtrip", 0), ("graph-decomposition", 1),
+                    ("cwd-roundtrip", 1)]
+
+
+@pytest.mark.parametrize("suite, least", SWEEPS_THAT_DRAW)
+def test_sweep_max_n_below_the_smallest_drawn_size_exits_2(capsys, suite, least):
+    for max_n in (least - 1, -5):
+        assert run_cli(capsys, "--max-n", str(max_n), "sweep", "--suite", suite) == (
+            2, "", f"error: suite {suite} needs max_n >= {least}, got {max_n}\n")
+
+
+@pytest.mark.parametrize("suite, least", SWEEPS_THAT_DRAW)
+def test_sweep_max_n_below_the_smallest_drawn_size_in_a_subprocess(suite, least):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(sperner.__file__).parent.parent)]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = ["--max-n", str(least - 1), "sweep", "--suite", suite]
+    proc = subprocess.run([sys.executable, "-m", "sperner.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: suite {suite} needs max_n >= {least}, got {least - 1}\n"

@@ -2,13 +2,15 @@
 
 import itertools
 
-from sperner.graphs import Graph, pattern
+from sperner.bitset import bits
+from sperner.graphs import Graph, cutset_hypergraph, neighborhood_hypergraph, pattern
 from sperner.recognition import (check_domishold_equivalences,
                                  check_threshold_equivalences,
                                  is_domishold_graph, is_hereditary_connected_domishold,
                                  is_hereditary_total_domishold, is_threshold_graph,
                                  is_threshold_via_nested, threshold_construction,
                                  threshold_graph_violation, all_split_partitions)
+from sperner.threshold import is_k_asummable, is_threshold_hypergraph
 
 K4 = Graph(4, [(i, j) for i in range(4) for j in range(i + 1, 4)])
 C4 = pattern("C4")
@@ -144,15 +146,24 @@ class TestHereditary:
         assert is_hereditary_connected_domishold(k3)
 
     def test_routes_agree_small(self):
+        """The 1-Sperner check agrees with the threshold and 2-asummable
+        routes over every induced subgraph."""
         import random
         rng = random.Random(17)
+        graphs = list(all_graphs(4))
         for _ in range(25):
             n = rng.randint(0, 5)
             edges = [(u, v) for u in range(n) for v in range(u + 1, n)
                      if rng.random() < 0.5]
-            g = Graph(n, edges)
-            for check in (is_hereditary_total_domishold,
-                          is_hereditary_connected_domishold):
-                vals = {check(g, via=v) for v in
-                        ("one-sperner", "threshold", "two-asummable")}
-                assert len(vals) == 1, g
+            graphs.append(Graph(n, edges))
+        seen = set()
+        for g in graphs:
+            subgraphs = [g.induced(bits(sub)) for sub in range(1 << g.n)]
+            for check, derive in ((is_hereditary_total_domishold, neighborhood_hypergraph),
+                                  (is_hereditary_connected_domishold, cutset_hypergraph)):
+                hs = [derive(gs) for gs in subgraphs]
+                value = check(g)
+                assert value == all(map(is_threshold_hypergraph, hs)), g
+                assert value == all(is_k_asummable(h, 2) for h in hs), g
+                seen.add(value)
+        assert seen == {False, True}

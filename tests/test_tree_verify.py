@@ -61,11 +61,11 @@ def test_tree_check_accepts_exactly_when_the_dual_check_does(monkeypatch):
                     == threshold._heaviest_independent_by_duals(h, w)), (h, w)
             certificates.append((h, w, t))
     assert families == 2 + 3 + 6 + 20 + 131 + 1460
-    tree = [ThresholdWitness(tuple(w), t).verify(h, exhaustive_limit=-1)
-            for h, w, t in certificates]
+    # the family check alone: no input has at most -1 vertices
+    monkeypatch.setattr(threshold, "EXHAUSTIVE_LIMIT", -1)
+    tree = [ThresholdWitness(tuple(w), t).verify(h) for h, w, t in certificates]
     monkeypatch.setattr(threshold, "gluing_preorder", lambda h: None)
-    duals = [ThresholdWitness(tuple(w), t).verify(h, exhaustive_limit=-1)
-             for h, w, t in certificates]
+    duals = [ThresholdWitness(tuple(w), t).verify(h) for h, w, t in certificates]
     assert tree == duals
     for (h, w, t), ok in zip(certificates, tree):
         assert ok == separates_mask_by_mask(h, w, t), (h, w, t)

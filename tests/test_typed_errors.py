@@ -12,10 +12,12 @@ import pytest
 
 import sperner
 import sperner.cli as cli
+import sperner.decomposition as decomposition
 import sperner.domination as domination
 import sperner.hypergraph as hypergraph
 from sperner.cliquewidth import (ExpressionError, ExpressionParseError, Leaf,
                                  format_expression, parse_expression)
+from sperner.decomposition import GRAPH_CLASSES, DecompLeaf, DecompNode, MPartition
 from sperner.domination import DominationError, DominationResult
 from sperner.generators import random_one_sperner
 from sperner.graphs import Graph
@@ -70,6 +72,54 @@ def test_cwd_evaluate_check(tmp_path, capsys, monkeypatch):
     assert err.startswith("error: the 5-expression does not evaluate")
 
 
+def _swap_root_parts_3_and_4(tree):
+    z, p1, p2, p3, p4 = tree.partition.parts
+    part = MPartition((z, p1, p2, p4, p3), tree.partition.a, tree.partition.b)
+    return DecompNode(part, tree.left, tree.right)
+
+
+def _flip_root_tag(tree):
+    part = tree.partition
+    return DecompNode(MPartition(part.parts, 1 - part.a, part.b), tree.left, tree.right)
+
+
+def _repeat_z_in_the_left_leaf(tree):
+    return DecompNode(tree.partition, DecompLeaf(tree.z, True), tree.right)
+
+
+@pytest.mark.parametrize("kind", list(GRAPH_CLASSES))
+@pytest.mark.parametrize("corrupt, error", [
+    (_swap_root_parts_3_and_4, "error: node at z={z} violates its matrix at ({z}, {v})\n"),
+    (_flip_root_tag, "error: node tagged M[{a2},{b}], expected M[{a},{b}]\n"),
+    (_repeat_z_in_the_left_leaf, "error: tree covers {covered}\n"),
+], ids=["parts-swapped", "tag-flipped", "vertex-repeated"])
+def test_decompose_tree_check(tmp_path, capsys, monkeypatch, kind, corrupt, error):
+    """``decompose --kind K`` checks the tree it prints: every node's tag and
+    matrix, and that the z's and leaves cover the vertices exactly once."""
+    path = tmp_path / "g.graph"
+    path.write_text(write_graph(Graph(3, [(1, 2)])))
+    assert run_cli(capsys, "decompose", "--kind", kind, str(path))[0] == 0
+    real_core = decomposition._decompose_core
+    seen = []
+
+    def corrupt_core(*args):
+        tree = real_core(*args)
+        seen.append(tree)
+        return corrupt(tree)
+
+    monkeypatch.setattr(decomposition, "_decompose_core", corrupt_core)
+    code, out, err = run_cli(capsys, "decompose", "--kind", kind, str(path))
+    # in every class the root's left child is an empty leaf, and one of
+    # parts 3 and 4 is empty: after the swap, part 3 holds the other side's
+    # one vertex, which is not adjacent to z
+    assert seen[0].left.vertex is None
+    root = seen[0].partition
+    v = (root.parts[3] | root.parts[4]).bit_length() - 1
+    assert (code, out) == (2, "")
+    assert err == error.format(z=root.z, v=v, a=root.a, a2=1 - root.a, b=root.b,
+                               covered=sorted([0, 1, 2, root.z]))
+
+
 def test_generate_one_sperner_check(capsys, monkeypatch):
     bad = Hypergraph(range(2), [{0}, {0, 1}])
     monkeypatch.setattr(cli, "random_one_sperner", lambda n, rng: bad)
@@ -80,7 +130,7 @@ def test_generate_one_sperner_check(capsys, monkeypatch):
 
 def test_threshold_witness_verification_check(tmp_path, capsys, monkeypatch):
     h = Hypergraph(range(2), [{0, 1}])
-    monkeypatch.setattr(ThresholdWitness, "verify", lambda self, h, exhaustive_limit=20: False)
+    monkeypatch.setattr(ThresholdWitness, "verify", lambda self, h: False)
     with pytest.raises(ThresholdError, match="failed its own verification"):
         threshold_witness(h)
     path = tmp_path / "h.hyp"
@@ -121,12 +171,13 @@ def test_h_free_split_pipeline_check(monkeypatch, variant):
 
 
 @pytest.mark.parametrize("variant", domination.VARIANTS)
-def test_split_reduce_check(variant):
+def test_split_reduce_check(monkeypatch, variant):
     p4 = Graph(4, [(0, 1), (1, 2), (2, 3)])
     # {0} is not dominating; moved into the clique side it becomes {1}
-    bad = lambda g: DominationResult("dominating", 1, frozenset({0}))
+    monkeypatch.setattr(domination, "brute_force",
+                        lambda g, v: DominationResult("dominating", 1, frozenset({0})))
     with pytest.raises(DominationError, match="witness fails verification"):
-        domination.split_reduce(p4, variant, gamma_solver=bad)
+        domination.split_reduce(p4, variant)
 
 
 # one more digit than Python's default limit on int-string conversion
