@@ -32,7 +32,7 @@ from .generators import (random_bigraph_2p3_free, random_one_sperner,
 from .graphs import Graph, GraphError, find_induced  # noqa: F401
 from .hypergraph import (HLeaf, Hypergraph, HypergraphError, decompose,
                          gluing_preorder, is_conformal, is_conformal_on_tree,
-                         is_dually_sperner, is_one_sperner, preorder_depths,
+                         is_dually_sperner, is_one_sperner, marked_preorder,
                          recompose)
 from .sweeps import SUITES
 from .threshold import (ThresholdError, ThresholdWitness, k_asummability_witness,
@@ -122,16 +122,19 @@ def cmd_decompose(args) -> int:
 
 
 def _hyper_tree_text(tree) -> str:
-    """One line per node in preorder, indented two spaces per level
-    (``preorder_depths``)."""
+    """One line per node in preorder, indented two spaces per level. A
+    node's children follow it, left first, so a stack of the indents
+    still to come gives every item its own (as in ``preorder_depths``)."""
     lines = []
-    for x, depth in preorder_depths(tree):
-        pad = "  " * depth
-        if isinstance(x, HLeaf):
-            edges = "{}" if not x.base.edge_masks else "{{}}"
-            lines.append(f"{pad}leaf edges={edges}")
+    pads = [""]
+    for x in marked_preorder(tree):
+        pad = pads.pop()
+        if type(x) is HLeaf:
+            lines.append(pad + ("leaf edges={{}}" if x.base.edge_masks else "leaf edges={}"))
         else:
             lines.append(f"{pad}z={x}")
+            pad += "  "
+            pads += (pad, pad)
     return "\n".join(lines)
 
 

@@ -23,7 +23,7 @@ them. Constructing one checks its shape, and ``validate_m_partition(g,
 partition)`` checks it against the graph. A tree is a ``DecompNode``
 view of the core's preorder list of partitions and leaves, as a gluing
 tree is (``hypergraph.PreorderView``); the builders fold that list and
-``tree_to_text`` prints it from the one depth walk of both tree kinds
+``tree_to_text`` prints it from the depth walk over that list
 (``hypergraph.preorder_depths``).
 
 The search for z is the hypergraph one. A level with z-side Z and other

@@ -39,7 +39,9 @@ The central structural facts implemented here:
 * gluing trees (``HNode``, labelled by z) and M[a,b] trees
   (``decomposition.DecompNode``) are views (list, index) of one preorder
   list, the labels and leaves, left subtree first (``PreorderView``),
-  printed from one depth walk (``preorder_depths``). A gluing tree
+  printed by one walk over that list with a stack of the depths to come
+  (``preorder_depths``; the CLI's gluing-tree printer keeps the indents
+  on its stack instead). A gluing tree
   recomposes in one forward pass over the list: a leaf with the empty
   hyperedge gives the OR over its root path of {z} at each left turn and
   V(left subtree) at each right turn (``recompose``).
@@ -202,7 +204,8 @@ def _glue_masks(e1, e2, v1: int, zb: int) -> list[int]:
 
 
 def _split_masks(masks, zb: int) -> Union[tuple[int, list[int], list[int]], int]:
-    """Invert a gluing at the vertex bit ``zb``, on hyperedge masks.
+    """Invert a gluing at the vertex bit ``zb``, on hyperedge masks, in one
+    pass over them.
 
     Returns (U_z, E1, E2): E1 holds e \\ {z} for the hyperedges e that
     contain z, and E2 holds f \\ U_z for the others. When the masks are
@@ -214,20 +217,29 @@ def _split_masks(masks, zb: int) -> Union[tuple[int, list[int], list[int]], int]
     the masks are read, so the first conflict is final and the pass stops
     there. By the conflict lemma no vertex of the conflict mask is a
     gluing vertex either.
+
+    E1 is filled as the test reads each e, and the f's are kept as read.
+    When the pass ends, f \\ U_z = f ^ U_z for each of them: every e \\ {z}
+    read after f passed ``e & ~I`` with I a subset of f, and every one
+    read before f passed ``U & ~f``, so U_z is a subset of f.
     """
     u = 0
     i = -1
+    e1: list[int] = []
+    e2: list[int] = []
     for e in masks:
         if e & zb:
             e ^= zb
             if e & ~i:
                 return e & ~i
             u |= e
+            e1.append(e)
         elif u & ~e:
             return u & ~e
         else:
             i &= e
-    return u, [e ^ zb for e in masks if e & zb], [f & ~u for f in masks if not f & zb]
+            e2.append(e)
+    return u, e1, [f ^ u for f in e2] if u else e2
 
 
 def glue(h1: Hypergraph, h2: Hypergraph, z: int) -> Hypergraph:
@@ -436,7 +448,16 @@ def gluing_preorder(h: Hypergraph) -> Optional[list]:
     children, and a zero-vertex leaf holds at most one hyperedge. Hence
     the input is 1-Sperner iff every level has a gluing vertex and no node
     has V1 in E1 and the empty set in E2; None is returned otherwise.
+
+    Theorem: a 1-Sperner h has m <= n + 1, so a larger m returns None
+    before any scan. Its gluing tree has n nodes, one per vertex, and so
+    n + 1 leaves. Every split maps distinct hyperedges to distinct ones
+    (e \\ {z} for those holding z, f \\ U_z with U_z a subset of f for
+    the others), so each hyperedge ends as the empty hyperedge of its own
+    leaf, and a leaf holds at most one.
     """
+    if h.m > h.n + 1:
+        return None
     ids = h.vertices
     order: list = []
     todo = [((1 << h.n) - 1, h.edge_masks)]
@@ -497,8 +518,8 @@ def marked_preorder(tree) -> tuple:
 
 
 def preorder_depths(tree, leaf_type: type = HLeaf) -> Iterator[tuple[object, int]]:
-    """(item, depth) for every item of ``marked_preorder(tree)``: the one
-    walk of both tree printers. A node's children follow it, left first,
+    """(item, depth) for every item of ``marked_preorder(tree)``, the walk
+    of the M[a,b] tree printer. A node's children follow it, left first,
     so a stack of the depths still to come gives every item its depth."""
     depths = [0]
     for x in marked_preorder(tree):
@@ -547,13 +568,13 @@ def recompose(tree: DecompositionTree) -> Hypergraph:
     node, and no hyperedge list is copied at any node.
     """
     items = marked_preorder(tree)
-    frame = Hypergraph(x for x in items if not isinstance(x, HLeaf))
+    frame = Hypergraph([x for x in items if type(x) is not HLeaf])
     pos = frame._pos
     masks = []
     path = seen = 0
     turns = []
     for x in items:
-        if isinstance(x, HLeaf):
+        if type(x) is HLeaf:
             if x.base.edge_masks:
                 masks.append(path)
             if turns:

@@ -7,6 +7,9 @@ must be < n.
 Graph format: first line "n m", then m lines "u v" with 0 <= u < v < n;
 loops and duplicate edges are rejected.
 
+In both formats n is at most ``MAX_VERTICES``: the readers allocate O(n)
+before they read the first item, so a larger header is a ParseError.
+
 All parse errors carry a 1-based line number. Certificates are printed as
 exact fractions "p/q" (or plain integers), never as decimals.
 """
@@ -15,10 +18,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
+from math import isqrt
 
 from .graphs import Graph
 from .hypergraph import Hypergraph
 from .threshold import AsummabilityWitness, ThresholdWitness
+
+# the largest vertex count a header may declare
+MAX_VERTICES = 100_000
 
 
 class ParseError(ValueError):
@@ -53,6 +60,8 @@ def _header(text: str, item: str) -> tuple[int, int, list[str]]:
         raise ParseError("header values must be integers", ln) from None
     if n < 0 or m < 0:
         raise ParseError("header values must be non-negative", ln)
+    if n > MAX_VERTICES:
+        raise ParseError(f"vertex count {n} above the cap {MAX_VERTICES}", ln)
     # str.strip leaves a line empty iff it holds no token
     found = len(list(filter(str.strip, islice(lines, ln, None))))
     if found != m:
@@ -62,14 +71,20 @@ def _header(text: str, item: str) -> tuple[int, int, list[str]]:
 
 def read_hypergraph(text: str) -> Hypergraph:
     """Vertex tokens are looked up in one table from the canonical
-    spellings "0" .. "n-1" to their vertex bits, and a line's mask is
+    spellings "0" .. "top-1" to their vertex bits, and a line's mask is
     their sum; its size token must be the canonical spelling of its
-    vertex count. A line with any other token or size is read with
-    ``int()`` by ``_checked_vertices``, so other spellings and every error
-    read as the plain integer parse gives them."""
+    vertex count, at most top. A line with any other token or size is
+    read with ``int()`` by ``_checked_vertices``, so other spellings,
+    vertices from top up, and every error read as the plain integer
+    parse gives them.
+
+    The bits of vertices 0 .. B-1 take about B^2 / 16 bytes, so top is
+    n capped at 4 * sqrt(len(text)): the table is no larger than the
+    text, whatever n the header declares."""
     n, head_ln, lines = _header(text, "hyperedge")
-    sizes = [str(k) for k in range(n + 1)]
-    bit_of = {sizes[v]: 1 << v for v in range(n)}
+    top = min(n, 4 * isqrt(len(text)))
+    sizes = [str(k) for k in range(top + 1)]
+    bit_of = {sizes[v]: 1 << v for v in range(top)}
     masks = []
     for ln, raw in enumerate(islice(lines, head_ln, None), head_ln + 1):
         toks = raw.split()
@@ -77,7 +92,7 @@ def read_hypergraph(text: str) -> Hypergraph:
             continue
         k = len(toks) - 1
         try:
-            if k > n or toks[0] != sizes[k]:
+            if k > top or toks[0] != sizes[k]:
                 raise KeyError
             m = sum(map(bit_of.__getitem__, toks[1:]))
         except KeyError:

@@ -382,6 +382,25 @@ def split_at_bit(masks, zb: int):
     return u, [e ^ zb for e in masks if e & zb], [f & ~u for f in masks if not f & zb]
 
 
+def split_masks_two_pass(masks, zb: int):
+    """``hypergraph._split_masks`` with E1 and E2 read off after the test:
+    the test pass, which returns the first conflict mask (e \\ {z}) & ~I
+    or U & ~f, then one pass for E1 and one for E2 = {f & ~U_z}."""
+    u = 0
+    i = -1
+    for e in masks:
+        if e & zb:
+            e ^= zb
+            if e & ~i:
+                return e & ~i
+            u |= e
+        elif u & ~e:
+            return u & ~e
+        else:
+            i &= e
+    return u, [e ^ zb for e in masks if e & zb], [f & ~u for f in masks if not f & zb]
+
+
 def gluing_preorder_lowest_first(h: Hypergraph):
     """The gluing decomposition of ``h`` in preorder (gluing vertex ids and
     ``HLeaf`` items), or None when ``h`` is not 1-Sperner: at every level
