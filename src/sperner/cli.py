@@ -22,7 +22,7 @@ from .bitset import minimal_masks
 from .cliquewidth import (ExpressionError, built, evaluate, format_expression,
                           parse_expression)
 from .decomposition import (GRAPH_CLASSES, DecompositionError,
-                            check_decomposition_tree, tree_to_text)
+                            check_decomposition_tree, write_tree)
 from .domination import (VARIANTS, DominationError, OutOfClassError,
                          brute_force, solve_h_free_split_all)
 from .generators import (random_bigraph_2p3_free, random_one_sperner,
@@ -32,7 +32,7 @@ from .generators import (random_bigraph_2p3_free, random_one_sperner,
 from .graphs import Graph, GraphError, find_induced  # noqa: F401
 from .hypergraph import (HLeaf, Hypergraph, HypergraphError, decompose,
                          gluing_preorder, is_conformal, is_conformal_on_tree,
-                         is_dually_sperner, is_one_sperner, marked_preorder,
+                         is_dually_sperner, is_one_sperner, preorder_depths,
                          recompose)
 from .sweeps import SUITES
 from .threshold import (ThresholdError, ThresholdWitness, k_asummability_witness,
@@ -112,30 +112,25 @@ def cmd_decompose(args) -> int:
         tree = decompose(h)
         if recompose(tree) != h:
             raise HypergraphError("the decomposition tree does not recompose to the input")
-        print(_hyper_tree_text(tree))
+        _write_hyper_tree(tree, sys.stdout)
         return 0
     g = textio.read_graph(_load(args.path))
     tree = GRAPH_CLASSES[args.kind](g)
     check_decomposition_tree(g, tree, args.kind)
-    sys.stdout.write(tree_to_text(tree))
+    write_tree(tree, sys.stdout)
     return 0
 
 
-def _hyper_tree_text(tree) -> str:
-    """One line per node in preorder, indented two spaces per level. A
-    node's children follow it, left first, so a stack of the indents
-    still to come gives every item its own (as in ``preorder_depths``)."""
-    lines = []
-    pads = [""]
-    for x in marked_preorder(tree):
-        pad = pads.pop()
+def _write_hyper_tree(tree, out) -> None:
+    """Write one line per node in preorder, indented two spaces per level
+    (``preorder_depths``), each as it is made: a path-shaped tree of
+    depth d prints about d^2 characters."""
+    write = out.write
+    for x, depth in preorder_depths(tree):
         if type(x) is HLeaf:
-            lines.append(pad + ("leaf edges={{}}" if x.base.edge_masks else "leaf edges={}"))
+            write("  " * depth + ("leaf edges={{}}\n" if x.base.edge_masks else "leaf edges={}\n"))
         else:
-            lines.append(f"{pad}z={x}")
-            pad += "  "
-            pads += (pad, pad)
-    return "\n".join(lines)
+            write(f"{'  ' * depth}z={x}\n")
 
 
 def cmd_cwd(args) -> int:

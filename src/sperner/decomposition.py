@@ -23,7 +23,7 @@ them. Constructing one checks its shape, and ``validate_m_partition(g,
 partition)`` checks it against the graph. A tree is a ``DecompNode``
 view of the core's preorder list of partitions and leaves, as a gluing
 tree is (``hypergraph.PreorderView``); the builders fold that list and
-``tree_to_text`` prints it from the depth walk over that list
+``write_tree`` prints it from the one depth walk of both tree kinds
 (``hypergraph.preorder_depths``).
 
 The search for z is the hypergraph one. A level with z-side Z and other
@@ -58,6 +58,7 @@ to its (a, b), which ``check_decomposition_tree`` checks.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -276,23 +277,30 @@ class DecompNode(PreorderView):
 GraphDecompositionTree = Union[DecompLeaf, DecompNode]
 
 
-def tree_to_text(tree: GraphDecompositionTree) -> str:
-    """One node per line in preorder, indented two spaces per level
-    (``hypergraph.preorder_depths``): z, the four parts, and the matrix
-    tag."""
-    lines = []
+def write_tree(tree: GraphDecompositionTree, out) -> None:
+    """Write one node per line in preorder, indented two spaces per level
+    (``hypergraph.preorder_depths``), each as it is made: z, the four
+    parts, and the matrix tag. A node's parts hold every vertex below
+    it, so a tree on n vertices may print about n^2 ids."""
+    write = out.write
     names: list[str] = []
     for x, depth in preorder_depths(tree, DecompLeaf):
         pad = "  " * depth
         if isinstance(x, MPartition):
             partstr = ",".join("{" + _id_list(s, names) + "}" for s in x.parts[1:])
-            lines.append(f"{pad}z={x.z} | parts: {partstr} | M[{x.a},{x.b}]\n")
+            write(f"{pad}z={x.z} | parts: {partstr} | M[{x.a},{x.b}]\n")
         elif x.vertex is None:
-            lines.append(f"{pad}leaf empty\n")
+            write(f"{pad}leaf empty\n")
         else:
             side = "z-side" if x.on_z_side else "other-side"
-            lines.append(f"{pad}leaf v={x.vertex} ({side})\n")
-    return "".join(lines)
+            write(f"{pad}leaf v={x.vertex} ({side})\n")
+
+
+def tree_to_text(tree: GraphDecompositionTree) -> str:
+    """The text ``write_tree`` writes."""
+    out = io.StringIO()
+    write_tree(tree, out)
+    return out.getvalue()
 
 
 _ONE = re.compile("1")

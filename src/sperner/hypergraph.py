@@ -39,9 +39,7 @@ The central structural facts implemented here:
 * gluing trees (``HNode``, labelled by z) and M[a,b] trees
   (``decomposition.DecompNode``) are views (list, index) of one preorder
   list, the labels and leaves, left subtree first (``PreorderView``),
-  printed by one walk over that list with a stack of the depths to come
-  (``preorder_depths``; the CLI's gluing-tree printer keeps the indents
-  on its stack instead). A gluing tree
+  printed from one depth walk (``preorder_depths``). A gluing tree
   recomposes in one forward pass over the list: a leaf with the empty
   hyperedge gives the OR over its root path of {z} at each left turn and
   V(left subtree) at each right turn (``recompose``).
@@ -518,15 +516,24 @@ def marked_preorder(tree) -> tuple:
 
 
 def preorder_depths(tree, leaf_type: type = HLeaf) -> Iterator[tuple[object, int]]:
-    """(item, depth) for every item of ``marked_preorder(tree)``, the walk
-    of the M[a,b] tree printer. A node's children follow it, left first,
-    so a stack of the depths still to come gives every item its depth."""
-    depths = [0]
-    for x in marked_preorder(tree):
-        depth = depths.pop()
-        yield x, depth
-        if not isinstance(x, leaf_type):
-            depths += (depth + 1, depth + 1)
+    """(item, depth) for every item of ``marked_preorder(tree)``: the walk
+    of both tree printers, one pass that lists the depths. A node's left
+    child comes next, one level down, and its right child after the left
+    subtree's last leaf, so a stack of the right children's depths gives
+    every item its depth. Leaves are the items of exactly ``leaf_type``."""
+    items = marked_preorder(tree)
+    depths = []
+    depth = 0
+    right = []
+    for x in items:
+        depths.append(depth)
+        if type(x) is leaf_type:
+            if right:
+                depth = right.pop()
+        else:
+            depth += 1
+            right.append(depth)
+    return zip(items, depths)
 
 
 def fold_preorder(order: list, leaf, node, leaf_type: type = HLeaf):

@@ -7,8 +7,11 @@ must be < n.
 Graph format: first line "n m", then m lines "u v" with 0 <= u < v < n;
 loops and duplicate edges are rejected.
 
-In both formats n is at most ``MAX_VERTICES``: the readers allocate O(n)
-before they read the first item, so a larger header is a ParseError.
+A header's n is at most ``MAX_HYPERGRAPH_VERTICES`` (hypergraphs) or
+``MAX_GRAPH_VERTICES`` (graphs); a larger one is a ParseError. The
+readers allocate O(n) before they read the first item, and the graph
+commands keep n-bit masks per vertex, about n^2 / 4 bytes in all. On an
+edgeless header at its cap every command stays under 60 MB.
 
 All parse errors carry a 1-based line number. Certificates are printed as
 exact fractions "p/q" (or plain integers), never as decimals.
@@ -24,8 +27,9 @@ from .graphs import Graph
 from .hypergraph import Hypergraph
 from .threshold import AsummabilityWitness, ThresholdWitness
 
-# the largest vertex count a header may declare
-MAX_VERTICES = 100_000
+# the largest vertex counts a header may declare
+MAX_HYPERGRAPH_VERTICES = 100_000
+MAX_GRAPH_VERTICES = 10_000
 
 
 class ParseError(ValueError):
@@ -36,9 +40,9 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _header(text: str, item: str) -> tuple[int, int, list[str]]:
+def _header(text: str, item: str, cap: int) -> tuple[int, int, list[str]]:
     """The vertex count, the header's line number, and the text lines,
-    comments cut off, after checking the 'n m' header and that m
+    comments cut off, after checking the 'n m' header, n <= cap, and that m
     ``item`` lines (lines that hold a token) follow it. The lines are
     counted before any is split; a reader splits each line after the
     header as it reaches it and skips the blank ones, so no token list
@@ -60,8 +64,8 @@ def _header(text: str, item: str) -> tuple[int, int, list[str]]:
         raise ParseError("header values must be integers", ln) from None
     if n < 0 or m < 0:
         raise ParseError("header values must be non-negative", ln)
-    if n > MAX_VERTICES:
-        raise ParseError(f"vertex count {n} above the cap {MAX_VERTICES}", ln)
+    if n > cap:
+        raise ParseError(f"vertex count {n} above the cap {cap}", ln)
     # str.strip leaves a line empty iff it holds no token
     found = len(list(filter(str.strip, islice(lines, ln, None))))
     if found != m:
@@ -69,22 +73,41 @@ def _header(text: str, item: str) -> tuple[int, int, list[str]]:
     return n, ln, lines
 
 
-def read_hypergraph(text: str) -> Hypergraph:
-    """Vertex tokens are looked up in one table from the canonical
-    spellings "0" .. "top-1" to their vertex bits, and a line's mask is
-    their sum; its size token must be the canonical spelling of its
-    vertex count, at most top. A line with any other token or size is
-    read with ``int()`` by ``_checked_vertices``, so other spellings,
-    vertices from top up, and every error read as the plain integer
-    parse gives them.
+class _VertexBits(dict):
+    """Vertex bits by their spellings. A vertex token missing from the
+    table is added when it first occurs, read with ``int()`` as
+    ``_checked_vertices`` reads it, so each bit added is one that a
+    hyperedge of the text holds too; any other token raises KeyError or
+    ValueError."""
 
-    The bits of vertices 0 .. B-1 take about B^2 / 16 bytes, so top is
-    n capped at 4 * sqrt(len(text)): the table is no larger than the
-    text, whatever n the header declares."""
-    n, head_ln, lines = _header(text, "hyperedge")
+    __slots__ = ("n",)
+
+    def __missing__(self, tok: str) -> int:
+        v = int(tok)
+        if not 0 <= v < self.n:
+            raise KeyError(tok)
+        self[tok] = bit = 1 << v
+        return bit
+
+
+def read_hypergraph(text: str) -> Hypergraph:
+    """Vertex tokens are looked up in one table from their spellings to
+    their vertex bits (``_VertexBits``), and a line's mask is their sum;
+    its size token must be the canonical spelling of its vertex count,
+    at most top. A line with any other token or size is read with
+    ``int()`` by ``_checked_vertices``, so every spelling and every error
+    read as the plain integer parse gives them.
+
+    The bits of vertices 0 .. B-1 take about B^2 / 16 bytes, so the
+    table starts with the vertices below top, n capped at
+    4 * sqrt(len(text)), and takes the others as they occur: it is no
+    larger than the text and the masks read, whatever n the header
+    declares."""
+    n, head_ln, lines = _header(text, "hyperedge", MAX_HYPERGRAPH_VERTICES)
     top = min(n, 4 * isqrt(len(text)))
     sizes = [str(k) for k in range(top + 1)]
-    bit_of = {sizes[v]: 1 << v for v in range(top)}
+    bit_of = _VertexBits({sizes[v]: 1 << v for v in range(top)})
+    bit_of.n = n
     masks = []
     for ln, raw in enumerate(islice(lines, head_ln, None), head_ln + 1):
         toks = raw.split()
@@ -95,7 +118,7 @@ def read_hypergraph(text: str) -> Hypergraph:
             if k > top or toks[0] != sizes[k]:
                 raise KeyError
             m = sum(map(bit_of.__getitem__, toks[1:]))
-        except KeyError:
+        except (KeyError, ValueError):
             m = sum(1 << v for v in _checked_vertices(toks, n, ln))
         # the bits of distinct vertices never carry
         if m.bit_count() != k:
@@ -137,7 +160,7 @@ def write_hypergraph(h: Hypergraph) -> str:
 def read_graph(text: str) -> Graph:
     """Each edge line is split when the loop reaches it and checked at
     once; the adjacency masks are all that is kept."""
-    n, head_ln, lines = _header(text, "edge")
+    n, head_ln, lines = _header(text, "edge", MAX_GRAPH_VERTICES)
     adj = [0] * n
     for ln, raw in enumerate(islice(lines, head_ln, None), head_ln + 1):
         toks = raw.split()

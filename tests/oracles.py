@@ -63,7 +63,8 @@ from sperner.decomposition import (DecompLeaf, DecompNode, DecompositionError,
                                    GraphDecompositionTree, MPartition, m_matrix)
 from sperner.hypergraph import (HLeaf, HNode, Hypergraph, fold_preorder, glue,
                                 is_one_sperner)
-from sperner.textio import ParseError, _checked_vertices, _header
+from sperner.textio import (MAX_HYPERGRAPH_VERTICES, ParseError, _checked_vertices,
+                            _header)
 from sperner.graphs import Graph
 
 
@@ -433,7 +434,7 @@ def read_hypergraph_by_positions(text: str) -> Hypergraph:
     """Hypergraph text read with a table from the canonical spellings
     "0" .. "n-1" to vertex positions, shifted to bits afterwards; other
     spellings go through the library's integer fallback."""
-    n, head_ln, lines = _header(text, "hyperedge")
+    n, head_ln, lines = _header(text, "hyperedge", MAX_HYPERGRAPH_VERTICES)
     pos = {str(v): v for v in range(n)}
     masks = []
     for ln, raw in enumerate(lines[head_ln:], head_ln + 1):

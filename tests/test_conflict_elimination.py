@@ -4,8 +4,10 @@ When ``_split_masks`` finds that a level is not z-decomposable it returns
 a conflict mask, and by the conflict lemma (``sperner.hypergraph``) no
 vertex in that mask is a gluing vertex either, so ``gluing_preorder``
 drops them all from its scan. These tests check the lemma against the
-definition on every family on at most 4 vertices, and the scan against
-the lowest-first scan it replaced.
+definition on every family on at most 4 vertices, every 1-Sperner family
+of total size at most 9 and seeded random families, the one-pass split
+against the two-pass split it replaced and the plain split oracle, and
+the scan against the lowest-first scan it replaced.
 """
 
 import random
@@ -13,9 +15,10 @@ import random
 import pytest
 
 import oracles
-from oracles import brute_gluing_vertices, gluing_preorder_lowest_first
+from oracles import (brute_gluing_vertices, gluing_preorder_lowest_first, split_at_bit,
+                     split_masks_two_pass)
 from sperner import hypergraph
-from sperner.generators import random_one_sperner
+from sperner.generators import one_sperner_hypergraphs, random_one_sperner
 from sperner.hypergraph import Hypergraph, gluing_preorder
 from test_deep_expressions import gluing_chain
 
@@ -34,12 +37,27 @@ def seeded_one_sperner(count: int, lo: int, hi: int, seed: int):
         yield random_one_sperner(rng.randint(lo, hi), rng)
 
 
+def random_families(count: int, seed: int):
+    """Seeded families on 1..10 vertices with 0..14 distinct hyperedges;
+    most of them are not 1-Sperner."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 10)
+        masks = {rng.getrandbits(n) for _ in range(rng.randint(0, 14))}
+        yield Hypergraph.from_masks(range(n), masks)
+
+
 def small_inputs():
     yield from all_small_families()
     yield from seeded_one_sperner(60, 0, 40, 14)
+    yield from one_sperner_hypergraphs(9)
+    yield from random_families(3000, 26)
 
 
 def test_no_conflict_vertex_is_a_gluing_vertex():
+    """The one-pass split also returns exactly what the two-pass split
+    returns, conflict masks included, and what the plain split oracle
+    returns wherever that one passes."""
     failures = 0
     for h in small_inputs():
         gluing = {h.position(z) for z in brute_gluing_vertices(h)}
@@ -47,9 +65,12 @@ def test_no_conflict_vertex_is_a_gluing_vertex():
         for masks in (h.edge_masks, h.edge_masks[::-1]):
             for p in range(h.n):
                 result = hypergraph._split_masks(masks, 1 << p)
+                assert result == split_masks_two_pass(masks, 1 << p), (h, p)
                 if type(result) is tuple:
                     assert p in gluing, (h, p)
+                    assert result == split_at_bit(masks, 1 << p), (h, p)
                     continue
+                assert split_at_bit(masks, 1 << p) is None, (h, p)
                 failures += 1
                 assert p not in gluing, (h, p)
                 assert result and not result >> p & 1, (h, p, result)
@@ -62,7 +83,7 @@ def test_preorder_matches_the_lowest_first_scan():
     for h in small_inputs():
         assert gluing_preorder(h) == gluing_preorder_lowest_first(h), h
         count += 1
-    assert count == 65_814 + 60
+    assert count == 65_814 + 60 + 12_641 + 3_000
 
 
 @pytest.mark.parametrize("inputs", [

@@ -17,7 +17,6 @@ import random
 
 import pytest
 
-import sperner.cli as cli
 import sperner.decomposition as decomposition
 import sperner.hypergraph as hypergraph
 from oracles import decompose_core_join_scan, preorder, tree_to_text_by_walk
@@ -31,6 +30,7 @@ from sperner.sweeps import (_CLASSES, CLASS_NAMES, _exhaustive_class_instances,
                             _generated_class_instances, _graph_of)
 from test_lean_expressions import matching_chain
 from test_mask_gluing import parse_tree_text
+from test_preorder_views import printed
 from test_tree_equality import gluing_chain_tree
 
 
@@ -187,4 +187,4 @@ def test_list_built_test_trees_equal_the_constructor_built_ones():
     rng = random.Random(24)
     for _ in range(30):
         tree = decompose(random_one_sperner(rng.randint(1, 40), rng))
-        assert parse_tree_text(cli._hyper_tree_text(tree)) == tree
+        assert parse_tree_text(printed(tree)) == tree

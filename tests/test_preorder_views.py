@@ -10,6 +10,7 @@ run on mutated canonical texts against the reader that built a list of
 bits per line.
 """
 
+import io
 import random
 
 import pytest
@@ -24,6 +25,13 @@ from sperner.hypergraph import (HLeaf, HNode, Hypergraph, decompose,
                                 fold_preorder, gluing_preorder, marked_preorder,
                                 recompose)
 from sperner.textio import ParseError, read_hypergraph, write_hypergraph
+
+
+def printed(tree) -> str:
+    """The gluing-tree text that ``sperner decompose`` writes."""
+    out = io.StringIO()
+    cli._write_hyper_tree(tree, out)
+    return out.getvalue()
 
 
 def hand_built(tree):
@@ -59,7 +67,7 @@ def test_views_against_hand_built_trees_and_the_fold():
         assert same_shape(tree, copy), h
         assert recompose(tree) == h == recompose_by_fold(tree), h
         assert recompose(copy) == h
-        assert cli._hyper_tree_text(tree) == hyper_tree_text_by_walk(tree), h
+        assert printed(tree) == hyper_tree_text_by_walk(tree) + "\n", h
         if isinstance(tree, HNode):
             assert marked_preorder(tree) == tuple(gluing_preorder(h))
             direct = HNode(tree.z, tree.left, tree.right)
@@ -79,7 +87,7 @@ def test_views_of_random_trees():
         tree = decompose(h)
         assert same_shape(tree, hand_built(tree))
         assert recompose(tree) == h == recompose_by_fold(tree)
-        assert cli._hyper_tree_text(tree) == hyper_tree_text_by_walk(tree)
+        assert printed(tree) == hyper_tree_text_by_walk(tree) + "\n"
         # every subtree's view equals its own hand-built copy
         for sub, _ in preorder(tree):
             if isinstance(sub, HNode):
